@@ -22,7 +22,7 @@ use airtime_obs::{AirtimeLedger, MetricsRegistry, NullObserver};
 use airtime_phy::DataRate::{B1, B11, B2, B5_5};
 use airtime_sim::{QueueBackend, SimDuration};
 use airtime_wlan::{
-    run_instrumented, run_observed, scenarios, Direction, NetworkConfig, SchedulerKind,
+    run_observed, run_profiled, scenarios, Direction, NetworkConfig, SchedulerKind,
 };
 
 const REPS: usize = 3;
@@ -81,7 +81,7 @@ fn combo_cfg(c: &ComboResult) -> NetworkConfig {
 fn measure_rep(c: &mut ComboResult) {
     let cfg = combo_cfg(c);
     let mut reg = MetricsRegistry::new();
-    let r = run_instrumented(&cfg, &mut NullObserver, Some(&mut reg));
+    let r = run_profiled(&cfg, &mut NullObserver, &mut reg).0;
     let wall = reg.gauge_value("profile.wall_s").expect("profile.wall_s");
     if wall < c.wall_s {
         c.wall_s = wall;

@@ -65,9 +65,33 @@ pub enum EnqueueOutcome {
 /// COMPLETEEVENT → [`on_complete`](ApScheduler::on_complete),
 /// FILLEVENT/ADJUSTRATEEVENT → [`on_tick`](ApScheduler::on_tick)
 /// (driven at [`tick_period`](ApScheduler::tick_period)).
+///
+/// Three defaulted hooks let an embedder drive every discipline
+/// uniformly, without downcasting: weighted association (the §4.5
+/// extension) and token-state introspection for token-regulated
+/// disciplines.
 pub trait ApScheduler {
     /// A client joined the cell.
     fn on_associate(&mut self, client: ClientId, now: SimTime);
+
+    /// A client joined the cell with a QoS weight (1.0 = equal share).
+    /// Disciplines without weighted shares ignore the weight.
+    fn on_associate_weighted(&mut self, client: ClientId, weight: f64, now: SimTime) {
+        let _ = weight;
+        self.on_associate(client, now);
+    }
+
+    /// The client's channel-time token balance in (possibly negative)
+    /// nanoseconds, for token-regulated disciplines; `None` otherwise.
+    fn token_balance_ns(&self, _client: ClientId) -> Option<f64> {
+        None
+    }
+
+    /// The client's token fill rate as a fraction of wall-clock time,
+    /// for token-regulated disciplines; `None` otherwise.
+    fn token_fill_rate(&self, _client: ClientId) -> Option<f64> {
+        None
+    }
 
     /// A client left the cell (roamed away or timed out). Flushes the
     /// client's buffered packets and returns them so the embedder can
@@ -468,19 +492,6 @@ impl DrrScheduler {
         }
     }
 
-    /// Associates `client` with a QoS weight: each visit grants
-    /// `weight × quantum` bytes, so long-term byte shares follow the
-    /// weights (classic weighted DRR). Weight 1.0 is plain DRR.
-    pub fn on_associate_weighted(&mut self, client: ClientId, weight: f64, _now: SimTime) {
-        assert!(weight > 0.0, "weight must be positive");
-        let slot = self.pool.add_client(client);
-        while slot >= self.deficits.len() {
-            self.deficits.push(0);
-            self.weights.push(1.0);
-        }
-        self.weights[slot] = weight;
-    }
-
     /// The byte grant slot `i` receives per round visit.
     fn quantum_of(&self, i: usize) -> u64 {
         let w = self.weights.get(i).copied().unwrap_or(1.0);
@@ -521,6 +532,19 @@ impl ApScheduler for DrrScheduler {
             .and_then(|i| self.weights.get(i).copied())
             .unwrap_or(1.0);
         self.on_associate_weighted(client, weight, now);
+    }
+
+    /// Associates `client` with a QoS weight: each visit grants
+    /// `weight × quantum` bytes, so long-term byte shares follow the
+    /// weights (classic weighted DRR). Weight 1.0 is plain DRR.
+    fn on_associate_weighted(&mut self, client: ClientId, weight: f64, _now: SimTime) {
+        assert!(weight > 0.0, "weight must be positive");
+        let slot = self.pool.add_client(client);
+        while slot >= self.deficits.len() {
+            self.deficits.push(0);
+            self.weights.push(1.0);
+        }
+        self.weights[slot] = weight;
     }
 
     fn on_disassociate(&mut self, client: ClientId, _now: SimTime) -> Vec<QueuedPacket> {

@@ -207,10 +207,22 @@ fn want_bool(e: &Entry) -> Result<bool, CompileError> {
     })
 }
 
+/// The longest simulated span, in seconds, that a scenario key or
+/// `airtime-cli run --secs` accepts: one day. The largest shipped preset
+/// runs 60 s; without a ceiling a typo such as `duration_s = 1e300`
+/// would run without bound.
+pub const MAX_DURATION_S: u64 = 86_400;
+
 fn duration_secs(e: &Entry) -> Result<SimDuration, CompileError> {
     let s = want_f64(e)?;
     if s < 0.0 || !s.is_finite() {
         return err(e.line, format!("key '{}' expects seconds >= 0", e.key));
+    }
+    if s > MAX_DURATION_S as f64 {
+        return err(
+            e.line,
+            format!("key '{}' expects at most {MAX_DURATION_S} seconds", e.key),
+        );
     }
     Ok(SimDuration::from_nanos((s * 1e9).round() as u64))
 }
@@ -1432,6 +1444,10 @@ x_ft = 60
                 "unknown scheduler 'lifo'",
             ),
             ("x = 1\n", "unknown key 'x'"),
+            (
+                "duration_s = 1e300\n[[station]]\nrate = \"11\"\n",
+                "at most 86400 seconds",
+            ),
             ("[station]\nrate = \"11\"\n", "double brackets"),
             (
                 "[[station]]\nrate = \"11\"\ndistance_ft = 4\n",

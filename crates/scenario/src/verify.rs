@@ -213,7 +213,7 @@ fn run_combo(
     match &spec.topo {
         None => {
             let mut rec = lane(None);
-            airtime_wlan::run_recorded(&single_cfg(&spec.cfg, backend, coalesce), &mut rec);
+            airtime_wlan::run_observed(&single_cfg(&spec.cfg, backend, coalesce), &mut rec);
             ComboRun {
                 fp: rec.fingerprint(),
                 lane_events: vec![rec.events()],
@@ -266,7 +266,7 @@ fn pin_divergence(
         match &spec.topo {
             None => {
                 let mut rec = windowed(None);
-                airtime_wlan::run_recorded(&single_cfg(&spec.cfg, backend, coalesce), &mut rec);
+                airtime_wlan::run_observed(&single_cfg(&spec.cfg, backend, coalesce), &mut rec);
                 rec.ring().cloned().collect()
             }
             Some(topo) => {

@@ -5,11 +5,11 @@
 //! space. This crate turns the AP scheduler into a first-class
 //! subsystem so contenders can be compared side by side:
 //!
-//! - [`Scheduler`] — the pluggable trait every discipline implements:
-//!   the [`ApScheduler`] event hooks (enqueue / select / on-tx-complete
-//!   / tick coalescing) plus weighted association and optional
-//!   token-state introspection, so embedders never downcast to a
-//!   concrete type.
+//! - [`ApScheduler`] — the one trait every discipline implements (from
+//!   `airtime-core`): the paper's event hooks (associate / enqueue /
+//!   select / on-tx-complete / tick coalescing) plus defaulted weighted
+//!   association and token-state introspection, so embedders never
+//!   downcast to a concrete type.
 //! - [`SchedulerKind`] — plain-data configuration naming a family and
 //!   its tunables; [`SchedulerKind::build`] constructs the boxed
 //!   discipline.
@@ -31,8 +31,6 @@
 //! event hook, so dense and coalesced tick modes are trivially
 //! bit-identical and the determinism contract holds by construction.
 
-use airtime_sim::SimTime;
-
 pub mod maxmin;
 pub mod pf;
 
@@ -45,69 +43,6 @@ pub use airtime_core::{
 };
 pub use maxmin::{MaxMinConfig, MaxMinScheduler};
 pub use pf::{PfConfig, PfScheduler};
-
-/// A pluggable AP scheduling discipline.
-///
-/// Extends [`ApScheduler`] (the paper's five event handlers plus the
-/// tick-coalescing contract) with the hooks the embedding simulator
-/// needs to treat every family uniformly:
-///
-/// - [`on_associate_weighted`](Scheduler::on_associate_weighted) — the
-///   §4.5 weighted-share extension. The default ignores the weight and
-///   registers the client plainly, so unweighted disciplines need no
-///   code; weighted ones (TBR, DRR, PF, max-min) override it.
-/// - [`token_balance_ns`](Scheduler::token_balance_ns) /
-///   [`token_fill_rate`](Scheduler::token_fill_rate) — optional
-///   introspection for token-regulated families, feeding token gauges,
-///   `TokenUpdate` observer events and the §4.1 client-cooperation
-///   defer without downcasting. Disciplines without token state return
-///   `None` (the default).
-pub trait Scheduler: ApScheduler {
-    /// A client joined the cell with a QoS weight (1.0 = equal share).
-    /// Disciplines without weighted shares ignore the weight.
-    fn on_associate_weighted(&mut self, client: ClientId, weight: f64, now: SimTime) {
-        let _ = weight;
-        self.on_associate(client, now);
-    }
-
-    /// The client's channel-time token balance in nanoseconds, for
-    /// token-regulated disciplines; `None` otherwise.
-    fn token_balance_ns(&self, _client: ClientId) -> Option<f64> {
-        None
-    }
-
-    /// The client's token fill rate as a fraction of wall-clock time,
-    /// for token-regulated disciplines; `None` otherwise.
-    fn token_fill_rate(&self, _client: ClientId) -> Option<f64> {
-        None
-    }
-}
-
-impl Scheduler for FifoScheduler {}
-
-impl Scheduler for RoundRobinScheduler {}
-
-impl Scheduler for TxopScheduler {}
-
-impl Scheduler for DrrScheduler {
-    fn on_associate_weighted(&mut self, client: ClientId, weight: f64, now: SimTime) {
-        DrrScheduler::on_associate_weighted(self, client, weight, now);
-    }
-}
-
-impl Scheduler for TbrScheduler {
-    fn on_associate_weighted(&mut self, client: ClientId, weight: f64, now: SimTime) {
-        TbrScheduler::on_associate_weighted(self, client, weight, now);
-    }
-
-    fn token_balance_ns(&self, client: ClientId) -> Option<f64> {
-        self.tokens_of(client)
-    }
-
-    fn token_fill_rate(&self, client: ClientId) -> Option<f64> {
-        self.rate_of(client)
-    }
-}
 
 /// Which queue discipline the AP's transmit path runs — plain data; two
 /// runs of the same kind are bit-identical.
@@ -184,7 +119,7 @@ impl SchedulerKind {
     }
 
     /// Constructs the discipline this kind describes.
-    pub fn build(&self) -> Box<dyn Scheduler> {
+    pub fn build(&self) -> Box<dyn ApScheduler> {
         match self {
             SchedulerKind::Fifo => Box::new(FifoScheduler::default()),
             SchedulerKind::RoundRobin => Box::new(RoundRobinScheduler::default()),
@@ -264,6 +199,7 @@ pub fn family_names() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use airtime_sim::SimTime;
 
     #[test]
     fn registry_round_trips_through_kind() {
@@ -318,12 +254,14 @@ mod tests {
             let has_tokens = s.token_balance_ns(ClientId(0)).is_some();
             assert_eq!(has_tokens, fam.name == "tbr", "family {}", fam.name);
         }
-        // And the TBR balance matches the inherent accessor.
+        // And the boxed TBR balance matches the concrete scheduler's.
         let mut tbr = TbrScheduler::new(TbrConfig::default());
-        Scheduler::on_associate_weighted(&mut tbr, ClientId(0), 1.0, now);
+        tbr.on_associate_weighted(ClientId(0), 1.0, now);
+        let mut boxed = SchedulerKind::tbr().build();
+        boxed.on_associate_weighted(ClientId(0), 1.0, now);
         assert_eq!(
             tbr.token_balance_ns(ClientId(0)),
-            tbr.tokens_of(ClientId(0))
+            boxed.token_balance_ns(ClientId(0))
         );
         assert_eq!(
             tbr.token_balance_ns(ClientId(0)),

@@ -35,8 +35,6 @@ use airtime_core::{
 };
 use airtime_sim::{SimDuration, SimTime};
 
-use crate::Scheduler;
-
 /// Nominal achievable-rate estimate (bit/s) for a client the AP has not
 /// yet observed transmitting — roughly 802.11b's 11 Mbit/s of MAC-layer
 /// goodput. Replaced by measurement after the first completed exchange.
@@ -191,6 +189,11 @@ impl ApScheduler for MaxMinScheduler {
         self.register(client, weight);
     }
 
+    fn on_associate_weighted(&mut self, client: ClientId, weight: f64, _now: SimTime) {
+        assert!(weight > 0.0, "weight must be positive");
+        self.register(client, weight);
+    }
+
     fn on_disassociate(&mut self, client: ClientId, _now: SimTime) -> Vec<QueuedPacket> {
         let flushed = self.pool.flush_client(client);
         if let Some(slot) = self.pool.slot_of(client) {
@@ -286,13 +289,6 @@ impl ApScheduler for MaxMinScheduler {
 
     fn drops(&self) -> u64 {
         self.pool.drops()
-    }
-}
-
-impl Scheduler for MaxMinScheduler {
-    fn on_associate_weighted(&mut self, client: ClientId, weight: f64, _now: SimTime) {
-        assert!(weight > 0.0, "weight must be positive");
-        self.register(client, weight);
     }
 }
 

@@ -50,8 +50,6 @@
 use airtime_core::{ApScheduler, BufferPolicy, ClientId, EnqueueOutcome, QueuePool, QueuedPacket};
 use airtime_sim::{SimDuration, SimTime};
 
-use crate::Scheduler;
-
 /// Reference slot length for the time-weighted averaging step: β is
 /// interpreted as "per 1 ms of channel time".
 const REF_SLOT_SECS: f64 = 1.0e-3;
@@ -203,6 +201,11 @@ impl ApScheduler for PfScheduler {
         self.register(client, weight);
     }
 
+    fn on_associate_weighted(&mut self, client: ClientId, weight: f64, _now: SimTime) {
+        assert!(weight > 0.0, "weight must be positive");
+        self.register(client, weight);
+    }
+
     fn on_disassociate(&mut self, client: ClientId, _now: SimTime) -> Vec<QueuedPacket> {
         let flushed = self.pool.flush_client(client);
         if let Some(slot) = self.pool.slot_of(client) {
@@ -319,13 +322,6 @@ impl ApScheduler for PfScheduler {
 
     fn drops(&self) -> u64 {
         self.pool.drops()
-    }
-}
-
-impl Scheduler for PfScheduler {
-    fn on_associate_weighted(&mut self, client: ClientId, weight: f64, _now: SimTime) {
-        assert!(weight > 0.0, "weight must be positive");
-        self.register(client, weight);
     }
 }
 

@@ -245,7 +245,7 @@ fn run_topology_inner<O: Observer>(
                 }
                 Some(p) => {
                     let t0 = Instant::now();
-                    let label = cells[i].step_labeled().map(|(_, l)| l);
+                    let label = cells[i].step().map(|(_, l)| l);
                     let cost = t0.elapsed();
                     if let Some(label) = label {
                         p.record(i, label, cost);

@@ -12,7 +12,11 @@
 //! deterministically and returns a [`Report`] with per-flow goodputs,
 //! per-node channel-occupancy shares, task completion times, MAC
 //! statistics and (optionally) a sniffer-style frame trace for the
-//! `airtime-trace` analyses.
+//! `airtime-trace` analyses. [`run_observed`] additionally streams
+//! structured events into an observer, and [`run_profiled`] also fills
+//! a metrics registry and returns the event loop's host-side profile;
+//! all three return byte-identical reports. [`CellSim`] exposes the
+//! same engine one step at a time for multi-cell drivers.
 //!
 //! [`scenarios`] contains ready-made configurations for every
 //! experiment in the paper's evaluation (Figures 2–4, 8, 9; Tables 2–4)
@@ -46,6 +50,4 @@ pub use config::{
     Direction, FlowSpec, LinkSpec, NetworkConfig, Regulate, SchedulerKind, StationConfig, Transport,
 };
 pub use report::{FlowReport, NodeReport, Report};
-pub use sim::{
-    run, run_instrumented, run_observed, run_profiled, run_recorded, CellSim, RunProfile,
-};
+pub use sim::{run, run_observed, run_profiled, CellSim, RunProfile};

@@ -28,7 +28,7 @@ use airtime_obs::{
     NullObserver, Observer, QueueSite, RunPhase, TcpPhase, TokenCause,
 };
 use airtime_phy::{Arf, DataRate, LinkErrorModel};
-use airtime_sched::Scheduler;
+use airtime_sched::ApScheduler;
 use airtime_sim::{
     AnyQueue, Histogram, LoopProfiler, RateMeter, SimDuration, SimRng, SimTime, Timeline,
 };
@@ -146,7 +146,7 @@ struct Sim<'c, O: Observer> {
     queue: AnyQueue<Event>,
     mac: DcfWorld,
     /// The pluggable AP discipline (any `airtime-sched` family).
-    sched: Box<dyn Scheduler>,
+    sched: Box<dyn ApScheduler>,
     /// True when `SchedTick` self-reschedules at every `tick_period`
     /// (the scheduler needs a timer but cannot catch up lazily, or the
     /// config disabled coalescing).
@@ -186,7 +186,12 @@ pub fn run(cfg: &NetworkConfig) -> Report {
 
 /// Like [`run`], but streams structured events into `obs`. With a
 /// [`NullObserver`] this is exactly [`run`] (the hooks monomorphise
-/// away and the RNG stream is untouched either way).
+/// away and the RNG stream is untouched either way). Observers never
+/// touch simulation state, so with any observer — a
+/// [`FlightRecorder`](airtime_obs::FlightRecorder) folding the causal
+/// event stream into fingerprints included — the report is
+/// byte-identical to [`run`]'s; pinned by a test, relied on by
+/// `verify-determinism`.
 ///
 /// The caller owns the observer's lifecycle: call `obs.finish()`
 /// afterwards to flush buffers and surface any write error.
@@ -195,35 +200,7 @@ pub fn run(cfg: &NetworkConfig) -> Report {
 ///
 /// Same as [`run`].
 pub fn run_observed<O: Observer>(cfg: &NetworkConfig, obs: &mut O) -> Report {
-    run_instrumented(cfg, obs, None)
-}
-
-/// Like [`run`], but folds the causal event stream into `rec`'s
-/// rolling fingerprints (see [`airtime_obs::recorder`]). Observers
-/// never touch the RNG or simulation state, so the returned report is
-/// byte-identical to [`run`]'s — pinned by a test, relied on by
-/// `verify-determinism`.
-///
-/// # Panics
-///
-/// Same as [`run`].
-pub fn run_recorded(cfg: &NetworkConfig, rec: &mut airtime_obs::FlightRecorder) -> Report {
-    run_observed(cfg, rec)
-}
-
-/// Full instrumentation: events into `obs` and, when `metrics` is
-/// given, counters/gauges/histograms snapshotted every
-/// [`METRICS_PERIOD`] of simulated time plus event-loop profiling.
-///
-/// # Panics
-///
-/// Same as [`run`].
-pub fn run_instrumented<O: Observer>(
-    cfg: &NetworkConfig,
-    obs: &mut O,
-    metrics: Option<&mut MetricsRegistry>,
-) -> Report {
-    run_with_profile(cfg, obs, metrics).0
+    run_cell(cfg, obs, None).0
 }
 
 /// The host-side profile of one completed run, as captured by the
@@ -241,8 +218,9 @@ pub struct RunProfile {
     pub queue_high_water: u64,
 }
 
-/// Like [`run_instrumented`], but also returns the run's host-side
-/// [`RunProfile`] directly — the `profile` command's entry point.
+/// Like [`run_observed`], plus counters/gauges/histograms in `metrics`
+/// snapshotted every 100 ms of simulated time, and the run's host-side
+/// [`RunProfile`] — the `profile` command's entry point.
 ///
 /// # Panics
 ///
@@ -252,70 +230,27 @@ pub fn run_profiled<O: Observer>(
     obs: &mut O,
     metrics: &mut MetricsRegistry,
 ) -> (Report, RunProfile) {
-    let (report, profile) = run_with_profile(cfg, obs, Some(metrics));
+    let (report, profile) = run_cell(cfg, obs, Some(metrics));
     (report, profile.expect("metrics registry supplied"))
 }
 
-fn run_with_profile<O: Observer>(
+/// The single-cell run: every station associated from t = 0, stepped
+/// until the next event would fall past the end.
+fn run_cell<O: Observer>(
     cfg: &NetworkConfig,
     obs: &mut O,
     metrics: Option<&mut MetricsRegistry>,
 ) -> (Report, Option<RunProfile>) {
-    assert!(!cfg.stations.is_empty(), "need at least one station");
-    assert!(!cfg.duration.is_zero(), "duration must be positive");
-    assert!(cfg.warmup < cfg.duration, "warm-up must precede the end");
-    let mut sim = Sim::new(cfg, obs, metrics, None);
-    sim.queue
-        .schedule(SimTime::ZERO + cfg.warmup, Event::WarmupDone);
-    if sim.dense_ticks {
-        if let Some(p) = sim.sched.tick_period() {
-            sim.queue.schedule(SimTime::ZERO + p, Event::SchedTick);
-        }
-    }
-    for f in 0..sim.flows.len() {
-        let at = sim.flows[f].start;
-        sim.queue.schedule(at, Event::StartFlow { flow: f });
-    }
+    let everyone = vec![true; cfg.stations.len()];
+    let mut sim = Sim::start(cfg, obs, metrics, &everyone);
     let end = SimTime::ZERO + cfg.duration;
     // Peek before popping: an event beyond `end` stays in the queue, so
     // `events_processed` counts exactly the dispatched events and the
     // profiler/queue-depth accounting agrees with it.
     while sim.queue.peek_time().is_some_and(|t| t <= end) {
-        let (t, ev) = sim.queue.pop().expect("peeked");
-        sim.now = t;
-        let label = event_label(&ev);
-        if sim.obs.active() {
-            sim.obs.on_dispatch(t, sim.queue.last_seq(), label);
-        }
-        let depth = sim.queue.len();
-        let t0 = sim.instr.as_mut().map(|instr| {
-            instr.reg.observe(instr.queue_depth, depth as f64);
-            std::time::Instant::now()
-        });
-        sim.dispatch(ev);
-        sim.pump_all();
-        sim.kick_all();
-        sim.ensure_sched_wake();
-        if let Some(t0) = t0 {
-            if let Some(instr) = sim.instr.as_mut() {
-                instr.profiler.count_timed(label, t0.elapsed());
-            }
-            sim.advance_instr();
-        }
+        sim.step();
     }
-    sim.now = end;
-    // Bring the scheduler's periodic state up to the end of the run in
-    // every drive mode, so reported rates never depend on whether the
-    // trailing idle stretch carried tick events.
-    sim.sched.on_tick(end);
-    sim.finish_airtime(end);
-    sim.finish_instr();
-    let profile = sim.instr.as_ref().map(|i| RunProfile {
-        profiler: i.profiler.clone(),
-        events: sim.queue.events_processed(),
-        queue_high_water: sim.queue.high_water() as u64,
-    });
-    (sim.report(), profile)
+    sim.finish(end)
 }
 
 /// Static label for the profiler's per-event-type counts.
@@ -336,12 +271,20 @@ fn event_label(ev: &Event) -> &'static str {
 }
 
 impl<'c, O: Observer> Sim<'c, O> {
-    fn new(
+    /// Builds the engine with station `i` associated iff `active[i]`
+    /// and seeds its timeline: the warm-up mark, the first dense tick,
+    /// and the start of every associated station's flows. Inactive
+    /// stations hold no scheduler slot and start no flows until
+    /// [`Sim::associate_station`].
+    fn start(
         cfg: &'c NetworkConfig,
         obs: &'c mut O,
         metrics: Option<&'c mut MetricsRegistry>,
-        active: Option<&[bool]>,
+        active: &[bool],
     ) -> Self {
+        assert!(!cfg.stations.is_empty(), "need at least one station");
+        assert!(!cfg.duration.is_zero(), "duration must be positive");
+        assert!(cfg.warmup < cfg.duration, "warm-up must precede the end");
         let n = cfg.stations.len();
         let mut links = vec![LinkErrorModel::Perfect; n + 1];
         let mut arf = vec![None; n + 1];
@@ -383,41 +326,13 @@ impl<'c, O: Observer> Sim<'c, O> {
         // the MAC reports them as effects — neither touches the RNG.
         mac.set_emit_backoff(obs.active());
         mac.set_emit_airtime(obs.active());
-        let mut sched: Box<dyn Scheduler> = cfg.scheduler.build();
+        let mut sched = cfg.scheduler.build();
         // Build flow runtimes.
         let warmup_end = SimTime::ZERO + cfg.warmup;
         let mut flows = Vec::new();
         for (i, st) in cfg.stations.iter().enumerate() {
             for spec in &st.flows {
-                let id = FlowId(flows.len());
-                let limiter = spec
-                    .rate_limit_bps
-                    .filter(|_| spec.transport == Transport::Tcp)
-                    .map(|bps| RateLimiter::new(bps, 2 * cfg.tcp.mss));
-                let (tcp_tx, tcp_rx, udp) = match spec.transport {
-                    Transport::Tcp => (
-                        Some(TcpSender::new(
-                            id,
-                            cfg.tcp.clone(),
-                            spec.task_bytes,
-                            limiter,
-                        )),
-                        Some(TcpReceiver::new(id, cfg.tcp.clone())),
-                        None,
-                    ),
-                    Transport::Udp => (
-                        None,
-                        None,
-                        Some(UdpSource::new(
-                            id,
-                            UdpConfig {
-                                datagram_bytes: 1500,
-                                rate_bps: spec.rate_limit_bps,
-                                task_bytes: spec.task_bytes,
-                            },
-                        )),
-                    ),
-                };
+                let (tcp_tx, tcp_rx, udp) = transports(FlowId(flows.len()), spec, cfg);
                 flows.push(FlowRt {
                     station: i,
                     transport: spec.transport,
@@ -438,22 +353,17 @@ impl<'c, O: Observer> Sim<'c, O> {
         }
         // A topology driver may start some stations unassociated (they
         // roam in later); single-cell runs associate everyone at t=0.
-        let is_active = |st: usize| active.is_none_or(|m| m[st]);
         match cfg.regulate {
             Regulate::PerStation => {
-                for i in 0..n {
-                    if is_active(i) {
-                        sched.on_associate_weighted(
-                            ClientId(i),
-                            cfg.stations[i].weight,
-                            SimTime::ZERO,
-                        );
+                for (i, st) in cfg.stations.iter().enumerate() {
+                    if active[i] {
+                        sched.on_associate_weighted(ClientId(i), st.weight, SimTime::ZERO);
                     }
                 }
             }
             Regulate::PerFlow => {
                 for (f, rt) in flows.iter().enumerate() {
-                    if is_active(rt.station) {
+                    if active[rt.station] {
                         let weight = cfg.stations[rt.station].weight;
                         sched.on_associate_weighted(ClientId(f), weight, SimTime::ZERO);
                     }
@@ -504,12 +414,24 @@ impl<'c, O: Observer> Sim<'c, O> {
         });
         let dense_ticks =
             sched.tick_period().is_some() && !(cfg.coalesce_ticks && sched.coalescible());
+        let mut queue = AnyQueue::new(cfg.queue_backend);
+        queue.schedule(warmup_end, Event::WarmupDone);
+        if dense_ticks {
+            if let Some(p) = sched.tick_period() {
+                queue.schedule(SimTime::ZERO + p, Event::SchedTick);
+            }
+        }
+        for (f, rt) in flows.iter().enumerate() {
+            if active[rt.station] {
+                queue.schedule(rt.start, Event::StartFlow { flow: f });
+            }
+        }
         Sim {
             cfg,
             obs,
             instr,
             now: SimTime::ZERO,
-            queue: AnyQueue::new(cfg.queue_backend),
+            queue,
             dense_ticks,
             pending_wake: None,
             mac,
@@ -526,6 +448,57 @@ impl<'c, O: Observer> Sim<'c, O> {
             trace: cfg.record_trace.then(|| Trace::new(cfg.duration)),
             fer_est: vec![0.0; n + 1],
         }
+    }
+
+    /// Dispatches the earliest pending event, then settles the cell
+    /// around it: traffic pumps, MAC feeding, the scheduler's wake-up.
+    /// Returns the event's time and profiler label; `None` when the
+    /// timeline is drained.
+    fn step(&mut self) -> Option<(SimTime, &'static str)> {
+        let (t, ev) = self.queue.pop()?;
+        self.now = t;
+        let label = event_label(&ev);
+        if self.obs.active() {
+            self.obs.on_dispatch(t, self.queue.last_seq(), label);
+        }
+        let t0 = self.instr.as_mut().map(|instr| {
+            instr
+                .reg
+                .observe(instr.queue_depth, self.queue.len() as f64);
+            std::time::Instant::now()
+        });
+        self.dispatch(ev);
+        self.pump_all();
+        self.kick_all();
+        self.ensure_sched_wake();
+        if let Some(t0) = t0 {
+            if let Some(instr) = self.instr.as_mut() {
+                instr.profiler.count_timed(label, t0.elapsed());
+            }
+            self.advance_instr();
+        }
+        Some((t, label))
+    }
+
+    /// Ends the run at `end` and produces its report, plus the
+    /// host-side profile when metrics were attached. Brings the
+    /// scheduler's periodic state up to `end` in every drive mode, so
+    /// reported rates never depend on whether the trailing idle stretch
+    /// carried tick events, and closes the airtime timeline so traces
+    /// audit on their own.
+    fn finish(mut self, end: SimTime) -> (Report, Option<RunProfile>) {
+        self.now = end;
+        self.sched.on_tick(end);
+        self.finish_airtime(end);
+        self.finish_instr();
+        let events = self.queue.events_processed();
+        let queue_high_water = self.queue.high_water() as u64;
+        let profile = self.instr.take().map(|i| RunProfile {
+            profiler: i.profiler,
+            events,
+            queue_high_water,
+        });
+        (self.report(), profile)
     }
 
     /// The scheduler key a packet of `flow` is regulated under.
@@ -784,7 +757,7 @@ impl<'c, O: Observer> Sim<'c, O> {
                 self.apply_mac_effects(fx);
             }
             Event::WiredToAp(pkt) => self.on_wired_to_ap(pkt),
-            Event::WiredToHost(pkt) => self.on_wired_to_host(pkt),
+            Event::WiredToHost(pkt) => self.deliver(pkt),
             Event::RtoFired {
                 flow,
                 generation,
@@ -1033,31 +1006,7 @@ impl<'c, O: Observer> Sim<'c, O> {
                 .schedule(self.now + self.cfg.wired_delay, Event::WiredToHost(pkt));
         } else {
             // Downlink: hand to the client-side endpoint.
-            let flow = pkt.flow.index();
-            match pkt.kind {
-                PacketKind::TcpData { seq } => {
-                    let now = self.now;
-                    let fx = match self.flows[flow].tcp_rx.as_mut() {
-                        Some(rx) => rx.on_data(now, seq),
-                        None => Vec::new(),
-                    };
-                    self.meter_tcp_goodput(flow);
-                    self.apply_receiver_effects(flow, fx);
-                }
-                PacketKind::TcpAck { ack_seq } => {
-                    let now = self.now;
-                    let mut fx = Vec::new();
-                    if let Some(tx) = self.flows[flow].tcp_tx.as_mut() {
-                        tx.on_ack(now, ack_seq, &mut fx);
-                    }
-                    self.emit_tcp(flow, TcpPhase::Ack);
-                    self.apply_sender_effects(flow, fx);
-                }
-                PacketKind::UdpData { .. } => {
-                    let now = self.now;
-                    self.flows[flow].meter.record(now, pkt.bytes);
-                }
-            }
+            self.deliver(pkt);
         }
     }
 
@@ -1122,11 +1071,12 @@ impl<'c, O: Observer> Sim<'c, O> {
         }
     }
 
-    fn on_wired_to_host(&mut self, pkt: Packet) {
+    /// A packet reached its transport endpoint: the wired host (uplink
+    /// data, downlink acks) or the client (downlink data, uplink acks).
+    fn deliver(&mut self, pkt: Packet) {
         let flow = pkt.flow.index();
         match pkt.kind {
             PacketKind::TcpData { seq } => {
-                // Uplink flow's receiver lives on the wired host.
                 let now = self.now;
                 let fx = match self.flows[flow].tcp_rx.as_mut() {
                     Some(rx) => rx.on_data(now, seq),
@@ -1136,7 +1086,6 @@ impl<'c, O: Observer> Sim<'c, O> {
                 self.apply_receiver_effects(flow, fx);
             }
             PacketKind::TcpAck { ack_seq } => {
-                // Downlink flow's sender lives on the wired host.
                 let now = self.now;
                 let mut fx = Vec::new();
                 if let Some(tx) = self.flows[flow].tcp_tx.as_mut() {
@@ -1508,35 +1457,7 @@ impl<'c, O: Observer> Sim<'c, O> {
     /// TCP state does not survive the handoff). Goodput and latency
     /// accounting are cumulative across incarnations.
     fn rebuild_flow(&mut self, flow: usize, spec: &FlowSpec, now: SimTime) {
-        let id = FlowId(flow);
-        let limiter = spec
-            .rate_limit_bps
-            .filter(|_| spec.transport == Transport::Tcp)
-            .map(|bps| RateLimiter::new(bps, 2 * self.cfg.tcp.mss));
-        let (tcp_tx, tcp_rx, udp) = match spec.transport {
-            Transport::Tcp => (
-                Some(TcpSender::new(
-                    id,
-                    self.cfg.tcp.clone(),
-                    spec.task_bytes,
-                    limiter,
-                )),
-                Some(TcpReceiver::new(id, self.cfg.tcp.clone())),
-                None,
-            ),
-            Transport::Udp => (
-                None,
-                None,
-                Some(UdpSource::new(
-                    id,
-                    UdpConfig {
-                        datagram_bytes: 1500,
-                        rate_bps: spec.rate_limit_bps,
-                        task_bytes: spec.task_bytes,
-                    },
-                )),
-            ),
-        };
+        let (tcp_tx, tcp_rx, udp) = transports(FlowId(flow), spec, self.cfg);
         let f = &mut self.flows[flow];
         f.start = now;
         f.started = true;
@@ -1665,12 +1586,8 @@ impl<'c, O: Observer> Sim<'c, O> {
         let total: f64 = flow_reports.iter().map(|f| f.goodput_mbps).sum();
         let measured_span = end.saturating_since(SimTime::ZERO + self.cfg.warmup);
         let busy = self.mac.busy_time().saturating_sub(self.busy_at_warmup);
-        let key_count = match self.cfg.regulate {
-            Regulate::PerStation => n,
-            Regulate::PerFlow => self.flows.len(),
-        };
         let tbr_rates = matches!(self.cfg.scheduler, SchedulerKind::Tbr(_)).then(|| {
-            (0..key_count)
+            (0..self.key_count())
                 .map(|k| self.sched.token_fill_rate(ClientId(k)).unwrap_or(0.0))
                 .collect()
         });
@@ -1692,6 +1609,44 @@ impl<'c, O: Observer> Sim<'c, O> {
     }
 }
 
+/// A fresh transport incarnation for flow `id`: TCP sender/receiver
+/// or a UDP source, per `spec`.
+fn transports(
+    id: FlowId,
+    spec: &FlowSpec,
+    cfg: &NetworkConfig,
+) -> (Option<TcpSender>, Option<TcpReceiver>, Option<UdpSource>) {
+    match spec.transport {
+        Transport::Tcp => {
+            let limiter = spec
+                .rate_limit_bps
+                .map(|bps| RateLimiter::new(bps, 2 * cfg.tcp.mss));
+            (
+                Some(TcpSender::new(
+                    id,
+                    cfg.tcp.clone(),
+                    spec.task_bytes,
+                    limiter,
+                )),
+                Some(TcpReceiver::new(id, cfg.tcp.clone())),
+                None,
+            )
+        }
+        Transport::Udp => (
+            None,
+            None,
+            Some(UdpSource::new(
+                id,
+                UdpConfig {
+                    datagram_bytes: 1500,
+                    rate_bps: spec.rate_limit_bps,
+                    task_bytes: spec.task_bytes,
+                },
+            )),
+        ),
+    }
+}
+
 /// The client side of an AP↔station frame.
 fn client_node(frame: &Frame) -> usize {
     if frame.src == AP {
@@ -1703,14 +1658,15 @@ fn client_node(frame: &Frame) -> usize {
 
 /// One cell of a multi-AP topology, exposed as a steppable simulation.
 ///
-/// The single-cell engine ([`run`]) owns its event loop; a multi-cell
-/// driver instead interleaves several cells on one shared timeline,
-/// always stepping the cell holding the globally-earliest event.
-/// `CellSim` wraps the engine for that purpose and adds the
-/// association lifecycle a roaming station needs — flush-and-leave at
-/// the old AP, fresh registration (and fresh transport incarnations)
-/// at the new one — plus the busy-window hooks a driver uses to couple
-/// co-channel cells through carrier sense.
+/// The single-cell run ([`run`]) steps one engine until its end; a
+/// multi-cell driver instead interleaves several cells on one shared
+/// timeline, always stepping the cell holding the globally-earliest
+/// event. `CellSim` exposes that same engine's start, step and finish
+/// for the purpose, and adds the association lifecycle a roaming
+/// station needs — flush-and-leave at the old AP, fresh registration
+/// (and fresh transport incarnations) at the new one — plus the
+/// busy-window hooks a driver uses to couple co-channel cells through
+/// carrier sense.
 ///
 /// Ordering contract: mutating calls (`associate`, `disassociate`,
 /// `defer_all`, `step`) must be non-decreasing in time. A driver that
@@ -1733,30 +1689,13 @@ impl<'c, O: Observer> CellSim<'c, O> {
     /// Panics on malformed configs (as [`run`]) or when the mask
     /// length disagrees with the station count.
     pub fn new(cfg: &'c NetworkConfig, obs: &'c mut O, active: &[bool]) -> Self {
-        assert!(!cfg.stations.is_empty(), "need at least one station");
-        assert!(!cfg.duration.is_zero(), "duration must be positive");
-        assert!(cfg.warmup < cfg.duration, "warm-up must precede the end");
         assert_eq!(
             active.len(),
             cfg.stations.len(),
             "association mask must cover every station"
         );
-        let mut sim = Sim::new(cfg, obs, None, Some(active));
-        sim.queue
-            .schedule(SimTime::ZERO + cfg.warmup, Event::WarmupDone);
-        if sim.dense_ticks {
-            if let Some(p) = sim.sched.tick_period() {
-                sim.queue.schedule(SimTime::ZERO + p, Event::SchedTick);
-            }
-        }
-        for f in 0..sim.flows.len() {
-            if active[sim.flows[f].station] {
-                let at = sim.flows[f].start;
-                sim.queue.schedule(at, Event::StartFlow { flow: f });
-            }
-        }
         CellSim {
-            sim,
+            sim: Sim::start(cfg, obs, None, active),
             associated: active.to_vec(),
         }
     }
@@ -1773,28 +1712,11 @@ impl<'c, O: Observer> CellSim<'c, O> {
     }
 
     /// Dispatches exactly one event — the earliest pending — and
-    /// returns its time; `None` when the cell is drained.
-    pub fn step(&mut self) -> Option<SimTime> {
-        self.step_labeled().map(|(t, _)| t)
-    }
-
-    /// Like [`CellSim::step`], but also returns the dispatched event's
-    /// profiler label, so a driver can attribute the step's host cost
-    /// per event type without peeking into the queue.
-    pub fn step_labeled(&mut self) -> Option<(SimTime, &'static str)> {
-        let (t, ev) = self.sim.queue.pop()?;
-        let label = event_label(&ev);
-        if self.sim.obs.active() {
-            self.sim
-                .obs
-                .on_dispatch(t, self.sim.queue.last_seq(), label);
-        }
-        self.sim.now = t;
-        self.sim.dispatch(ev);
-        self.sim.pump_all();
-        self.sim.kick_all();
-        self.sim.ensure_sched_wake();
-        Some((t, label))
+    /// returns its time and profiler label (so a driver can attribute
+    /// the step's host cost per event type); `None` when the cell is
+    /// drained.
+    pub fn step(&mut self) -> Option<(SimTime, &'static str)> {
+        self.sim.step()
     }
 
     /// Events dispatched by this cell's loop so far.
@@ -1810,11 +1732,8 @@ impl<'c, O: Observer> CellSim<'c, O> {
     /// Ends the run at `end`: brings the scheduler's periodic state up
     /// to the boundary, closes the airtime timeline so per-cell traces
     /// audit on their own, and produces the cell's report.
-    pub fn finish(mut self, end: SimTime) -> Report {
-        self.sim.now = end;
-        self.sim.sched.on_tick(end);
-        self.sim.finish_airtime(end);
-        self.sim.report()
+    pub fn finish(self, end: SimTime) -> Report {
+        self.sim.finish(end).0
     }
 
     /// True while `station` holds an association at this AP.
@@ -1956,31 +1875,25 @@ mod tests {
     #[test]
     fn cell_facade_reproduces_the_single_cell_engine() {
         use crate::scenarios;
-        for sched in [
-            SchedulerKind::RoundRobin,
-            SchedulerKind::Tbr(Default::default()),
-        ] {
-            let mut cfg = scenarios::uploaders(&[DataRate::B11, DataRate::B1], sched);
-            cfg.duration = SimDuration::from_secs(5);
-            let direct = run(&cfg);
-            let mut obs = NullObserver;
-            let mut cell = CellSim::new(&cfg, &mut obs, &[true, true]);
-            let end = SimTime::ZERO + cfg.duration;
-            while cell.peek_time().is_some_and(|t| t <= end) {
-                cell.step();
-            }
-            let stepped = cell.finish(end);
-            assert_eq!(
-                direct.total_goodput_mbps.to_bits(),
-                stepped.total_goodput_mbps.to_bits(),
-                "goodput diverged under {:?}",
-                cfg.scheduler
-            );
-            assert_eq!(direct.mac.attempts, stepped.mac.attempts);
-            assert_eq!(direct.mac.delivered, stepped.mac.delivered);
-            for (a, b) in direct.flows.iter().zip(&stepped.flows) {
-                assert_eq!(a.goodput_bytes, b.goodput_bytes);
-                assert_eq!(a.retransmits, b.retransmits);
+        for fam in airtime_sched::FAMILIES {
+            for direction in [Direction::Uplink, Direction::Downlink] {
+                let sched = SchedulerKind::from_family(fam.name).expect("registry family");
+                let mut cfg =
+                    scenarios::tcp_stations(&[DataRate::B11, DataRate::B1], direction, sched);
+                cfg.duration = SimDuration::from_secs(5);
+                let direct = format!("{:?}", run(&cfg));
+                let mut obs = NullObserver;
+                let mut cell = CellSim::new(&cfg, &mut obs, &[true, true]);
+                let end = SimTime::ZERO + cfg.duration;
+                while cell.peek_time().is_some_and(|t| t <= end) {
+                    cell.step();
+                }
+                let stepped = format!("{:?}", cell.finish(end));
+                assert!(
+                    direct == stepped,
+                    "report diverged under {} {direction:?}",
+                    fam.name
+                );
             }
         }
     }

@@ -9,14 +9,14 @@
 //! (`crates/scenario/tests/verify.rs` pins the multi-cell roaming
 //! preset the same way.)
 //!
-//! They also prove `run_recorded` is observation-only: the report of a
-//! recorded run is byte-identical to a plain `run`.
+//! They also prove recording is observation-only: the report of a run
+//! observed by a flight recorder is byte-identical to a plain `run`.
 
 use airtime_obs::{fp_hex, FlightRecorder};
 use airtime_phy::DataRate::{B1, B11};
 use airtime_sim::{QueueBackend, SimDuration};
 use airtime_wlan::{
-    run, run_recorded, scenarios, Direction, NetworkConfig, SchedulerKind, Transport,
+    run, run_observed, scenarios, Direction, NetworkConfig, SchedulerKind, Transport,
 };
 
 /// Same shortening as `tests/backends.rs`: paper-length presets cut to
@@ -108,7 +108,7 @@ fn preset_fingerprints_match_goldens_under_every_combo() {
             cfg.queue_backend = backend;
             cfg.coalesce_ticks = coalesce;
             let mut rec = FlightRecorder::new().with_capacity(0);
-            let _ = run_recorded(&cfg, &mut rec);
+            let _ = run_observed(&cfg, &mut rec);
             let hex = fp_hex(rec.fingerprint());
             match &fp {
                 None => fp = Some((hex, combo)),
@@ -131,11 +131,11 @@ fn preset_fingerprints_match_goldens_under_every_combo() {
 }
 
 #[test]
-fn run_recorded_reports_are_byte_identical_to_plain_run() {
+fn recorded_reports_are_byte_identical_to_plain_run() {
     for (name, cfg, _) in goldens() {
         let plain = format!("{:?}", run(&cfg));
         let mut rec = FlightRecorder::new();
-        let recorded = format!("{:?}", run_recorded(&cfg, &mut rec));
+        let recorded = format!("{:?}", run_observed(&cfg, &mut rec));
         // Debug formatting prints every float with full precision, so
         // equal strings mean bit-identical reports.
         assert_eq!(plain, recorded, "{name}: recording perturbed the run");

@@ -8,7 +8,7 @@ use airtime_obs::{
 };
 use airtime_phy::DataRate;
 use airtime_sim::SimDuration;
-use airtime_wlan::{run, run_instrumented, run_observed, scenarios, SchedulerKind};
+use airtime_wlan::{run, run_observed, run_profiled, scenarios, SchedulerKind};
 
 fn short_cfg(sched: SchedulerKind) -> airtime_wlan::NetworkConfig {
     let mut cfg = scenarios::uploaders(&[DataRate::B11, DataRate::B1], sched);
@@ -50,7 +50,7 @@ fn metrics_registry_does_not_perturb_the_run() {
     let cfg = short_cfg(SchedulerKind::tbr());
     let plain = run(&cfg);
     let mut reg = MetricsRegistry::new();
-    let instrumented = run_instrumented(&cfg, &mut NullObserver, Some(&mut reg));
+    let instrumented = run_profiled(&cfg, &mut NullObserver, &mut reg).0;
     assert_eq!(plain.total_goodput_mbps, instrumented.total_goodput_mbps);
     assert_eq!(
         plain.mac.collision_events,
@@ -82,7 +82,7 @@ fn profiler_event_counts_agree_with_the_queue_counter() {
     for sched in [SchedulerKind::tbr(), SchedulerKind::Fifo] {
         let cfg = short_cfg(sched);
         let mut reg = MetricsRegistry::new();
-        let _ = run_instrumented(&cfg, &mut NullObserver, Some(&mut reg));
+        let _ = run_profiled(&cfg, &mut NullObserver, &mut reg).0;
         let total = reg.counter_value("sim.events").expect("sim.events");
         let labels = [
             "mac.access_resolved",

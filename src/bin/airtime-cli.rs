@@ -25,7 +25,7 @@ use airtime::phy::DataRate;
 use airtime::sim::SimDuration;
 use airtime::topo::{run_topology, run_topology_profiled};
 use airtime::wlan::{
-    run, run_instrumented, run_profiled, scenarios, Direction, Report, SchedulerKind,
+    run_observed, run_profiled, scenarios, Direction, NetworkConfig, Report, SchedulerKind,
 };
 
 /// Allocation counting for `profile` (a gated relaxed-atomic load per
@@ -71,7 +71,7 @@ OPTIONS (run):
     --sched <name>      fifo | rr | drr | tbr | txop | pf | maxmin
                                                               [default: tbr]
     --direction <dir>   up | down                             [default: up]
-    --secs <n>          simulated seconds                     [default: 20]
+    --secs <n>          simulated seconds, 2 to 86400         [default: 20]
     --seed <n>          RNG seed                              [default: 1]
     --events <path>     stream structured events to a JSONL trace
     --ledger <path>     account every microsecond of medium time to a
@@ -273,7 +273,17 @@ fn parse_args(mut argv: std::env::Args) -> Result<(String, Args), String> {
                     other => return Err(format!("unknown direction '{other}'")),
                 }
             }
-            "--secs" => args.secs = value()?.parse().map_err(|e| format!("bad --secs: {e}"))?,
+            "--secs" => {
+                let secs: u64 = value()?.parse().map_err(|e| format!("bad --secs: {e}"))?;
+                // The warm-up takes at least 1 s and must end before the run.
+                if !(2..=airtime::scenario::MAX_DURATION_S).contains(&secs) {
+                    return Err(format!(
+                        "bad --secs: {secs} is outside 2..={}",
+                        airtime::scenario::MAX_DURATION_S
+                    ));
+                }
+                args.secs = secs;
+            }
             "--seed" => args.seed = value()?.parse().map_err(|e| format!("bad --seed: {e}"))?,
             "--events" => args.events = Some(PathBuf::from(value()?)),
             "--ledger" => args.ledger = Some(PathBuf::from(value()?)),
@@ -334,6 +344,18 @@ fn parse_args(mut argv: std::env::Args) -> Result<(String, Args), String> {
     Ok((cmd, args))
 }
 
+/// Runs `cfg` into `obs`, also filling `metrics` when given.
+fn run_with_metrics<O: Observer>(
+    cfg: &NetworkConfig,
+    obs: &mut O,
+    metrics: Option<&mut MetricsRegistry>,
+) -> Report {
+    match metrics {
+        Some(reg) => run_profiled(cfg, obs, reg).0,
+        None => run_observed(cfg, obs),
+    }
+}
+
 fn cmd_run(a: &Args) -> Result<(), String> {
     let (cfg, labels) = match &a.scenario {
         Some(path) => {
@@ -372,7 +394,7 @@ fn cmd_run(a: &Args) -> Result<(), String> {
             return Err("--record cannot be combined with --events or --ledger".into());
         }
         let mut rec = FlightRecorder::new();
-        let r = run_instrumented(&cfg, &mut rec, registry.as_mut());
+        let r = run_with_metrics(&cfg, &mut rec, registry.as_mut());
         std::fs::write(path, rec.to_jsonl())
             .map_err(|e| format!("writing {}: {e}", path.display()))?;
         if !a.json {
@@ -392,7 +414,7 @@ fn cmd_run(a: &Args) -> Result<(), String> {
                 let jsonl = JsonlObserver::create(path)
                     .map_err(|e| format!("creating {}: {e}", path.display()))?;
                 let mut tee = TeeObserver::new(AirtimeLedger::new(), jsonl);
-                let r = run_instrumented(&cfg, &mut tee, registry.as_mut());
+                let r = run_with_metrics(&cfg, &mut tee, registry.as_mut());
                 tee.finish()
                     .map_err(|e| format!("writing {}: {e}", path.display()))?;
                 ledger = Some(tee.a);
@@ -401,21 +423,18 @@ fn cmd_run(a: &Args) -> Result<(), String> {
             (Some(path), false) => {
                 let mut obs = JsonlObserver::create(path)
                     .map_err(|e| format!("creating {}: {e}", path.display()))?;
-                let r = run_instrumented(&cfg, &mut obs, registry.as_mut());
+                let r = run_with_metrics(&cfg, &mut obs, registry.as_mut());
                 obs.finish()
                     .map_err(|e| format!("writing {}: {e}", path.display()))?;
                 r
             }
             (None, true) => {
                 let mut led = AirtimeLedger::new();
-                let r = run_instrumented(&cfg, &mut led, registry.as_mut());
+                let r = run_with_metrics(&cfg, &mut led, registry.as_mut());
                 ledger = Some(led);
                 r
             }
-            (None, false) => match registry.as_mut() {
-                Some(reg) => run_instrumented(&cfg, &mut NullObserver, Some(reg)),
-                None => run(&cfg),
-            },
+            (None, false) => run_with_metrics(&cfg, &mut NullObserver, registry.as_mut()),
         }
     };
     if let (Some(path), Some(reg)) = (&a.metrics, &registry) {
@@ -657,7 +676,7 @@ fn suffixed(path: &std::path::Path, tag: &str) -> PathBuf {
 
 /// One word describing where the cell's flows point: `Uplink`,
 /// `Downlink`, or `Mixed` when a scenario file declares both.
-fn direction_label(cfg: &airtime::wlan::NetworkConfig) -> String {
+fn direction_label(cfg: &NetworkConfig) -> String {
     let mut dirs = cfg
         .stations
         .iter()
@@ -676,7 +695,7 @@ fn direction_label(cfg: &airtime::wlan::NetworkConfig) -> String {
 }
 
 /// The run report as one JSON object (the `--json` output).
-fn report_json(cfg: &airtime::wlan::NetworkConfig, labels: &[String], r: &Report) -> String {
+fn report_json(cfg: &NetworkConfig, labels: &[String], r: &Report) -> String {
     let mut flows = String::from("[");
     for (i, f) in r.flows.iter().enumerate() {
         if i > 0 {
@@ -1087,7 +1106,7 @@ fn profile_cell(
         let pid = *next_pid;
         *next_pid += 1;
         let mut obs = ChromeTraceObserver::for_cell(pid, &spec.name);
-        let _ = run_instrumented(cfg, &mut obs, None);
+        let _ = run_observed(cfg, &mut obs);
         obs.drain_into(sink);
         let hp = *host_pid;
         *host_pid += 1;

@@ -15,8 +15,8 @@
 //! | [`phy`] | `airtime-phy` | 802.11b/g rates, frame airtime math, path loss, BER, ARF/AARF |
 //! | [`mac`] | `airtime-mac` | DCF CSMA/CA, collisions, retries, airtime accounting |
 //! | [`net`] | `airtime-net` | ack-clocked TCP Reno/NewReno, UDP, rate limiting |
-//! | [`core`] | `airtime-core` | **TBR**, FIFO/RR/DRR baselines, fairness metrics |
-//! | [`sched`] | `airtime-sched` | the pluggable `Scheduler` trait, family registry, PF and max-min |
+//! | [`core`] | `airtime-core` | the `ApScheduler` trait, **TBR**, FIFO/RR/DRR baselines, fairness metrics |
+//! | [`sched`] | `airtime-sched` | scheduler family registry, PF and max-min |
 //! | [`model`] | `airtime-model` | Equations 4–13, γ models, Bianchi, task model |
 //! | [`trace`] | `airtime-trace` | trace synthesis + Figure 1/5 analyses |
 //! | [`wlan`] | `airtime-wlan` | the integrated experiment engine and scenarios |

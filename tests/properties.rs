@@ -218,10 +218,12 @@ fn tbr_conservation() {
                 ),
                 _ => tbr.on_tick(now),
             }
-            let rate_sum: f64 = (0..n).filter_map(|c| tbr.rate_of(ClientId(c))).sum();
+            let rate_sum: f64 = (0..n)
+                .filter_map(|c| tbr.token_fill_rate(ClientId(c)))
+                .sum();
             assert!((rate_sum - 1.0).abs() < 1e-6, "rates sum to {rate_sum}");
             for c in 0..n {
-                let t = tbr.tokens_of(ClientId(c)).unwrap();
+                let t = tbr.token_balance_ns(ClientId(c)).unwrap();
                 assert!(t <= bucket_ns + 1.0, "tokens above bucket: {t}");
             }
         }
