@@ -76,7 +76,8 @@ fn bench_dcf() {
                 handle,
             };
             handle += 1;
-            if let Ok(fx) = world.offer_frame(now, frame) {
+            let mut fx = Vec::new();
+            if world.offer_frame(now, frame, &mut fx).is_ok() {
                 for e in fx {
                     if let MacEffect::Schedule { at, event } = e {
                         queue.schedule(at, event);
@@ -91,7 +92,9 @@ fn bench_dcf() {
             if t > end {
                 break;
             }
-            for e in world.handle(t, ev) {
+            let mut fx = Vec::new();
+            world.handle(t, ev, &mut fx);
+            for e in fx {
                 if let MacEffect::Schedule { at, event } = e {
                     queue.schedule(at, event);
                 }

@@ -96,11 +96,21 @@ pub fn max_min_allocation(capacity: f64, demands: &[f64]) -> Vec<f64> {
 /// drain the shared budget `1/rᵢ` times faster (the §2.3 anomaly, here
 /// in closed form).
 ///
+/// The allocation is written into `alloc`; `saturated` is scratch.
+/// Both are overwritten (resized to `demands.len()`), so a caller that
+/// waterfills on every decision keeps them and never allocates.
+///
 /// # Panics
 ///
 /// Panics on negative demands, non-positive rates, or non-positive
 /// weights. Empty input yields an empty allocation.
-pub fn waterfill_airtime(demands: &[f64], rates: &[f64], weights: &[f64]) -> Vec<f64> {
+pub fn waterfill_airtime(
+    demands: &[f64],
+    rates: &[f64],
+    weights: &[f64],
+    alloc: &mut Vec<f64>,
+    saturated: &mut Vec<bool>,
+) {
     assert_eq!(demands.len(), rates.len());
     assert_eq!(demands.len(), weights.len());
     assert!(
@@ -110,8 +120,10 @@ pub fn waterfill_airtime(demands: &[f64], rates: &[f64], weights: &[f64]) -> Vec
     assert!(rates.iter().all(|&r| r > 0.0), "rates must be positive");
     assert!(weights.iter().all(|&w| w > 0.0), "weights must be positive");
     let n = demands.len();
-    let mut alloc = vec![0.0; n];
-    let mut saturated = vec![false; n];
+    alloc.clear();
+    alloc.resize(n, 0.0);
+    saturated.clear();
+    saturated.resize(n, false);
     let mut budget = 1.0f64; // airtime fraction still unassigned
     for _ in 0..=n {
         // Raise the water level for the unsaturated set; a station whose
@@ -143,7 +155,6 @@ pub fn waterfill_airtime(demands: &[f64], rates: &[f64], weights: &[f64]) -> Vec
             break;
         }
     }
-    alloc
 }
 
 #[cfg(test)]
@@ -210,7 +221,8 @@ mod tests {
         // is exactly the wired max-min allocation of capacity r.
         let demands = [1.0e6, 3.0e6, 100.0e6];
         let r = 10.0e6;
-        let a = waterfill_airtime(&demands, &[r; 3], &[1.0; 3]);
+        let mut a = Vec::new();
+        waterfill_airtime(&demands, &[r; 3], &[1.0; 3], &mut a, &mut Vec::new());
         let b = max_min_allocation(r, &demands);
         for (x, y) in a.iter().zip(b.iter()) {
             assert!((x - y).abs() < 1e-3, "{a:?} vs {b:?}");
@@ -221,7 +233,14 @@ mod tests {
     fn waterfill_equalises_throughput_for_greedy_multirate() {
         // Two saturated stations at 11 and 1 Mbit/s: max-min equalises
         // throughput (Leith et al.), x = 1/(1/11 + 1/1) Mbit/s each.
-        let a = waterfill_airtime(&[1e9, 1e9], &[11e6, 1e6], &[1.0, 1.0]);
+        let mut a = Vec::new();
+        waterfill_airtime(
+            &[1e9, 1e9],
+            &[11e6, 1e6],
+            &[1.0, 1.0],
+            &mut a,
+            &mut Vec::new(),
+        );
         let expect = 1.0 / (1.0 / 11e6 + 1.0 / 1e6);
         assert!((a[0] - expect).abs() < 1.0, "{a:?}");
         assert!((a[1] - expect).abs() < 1.0, "{a:?}");
@@ -230,7 +249,14 @@ mod tests {
     #[test]
     fn waterfill_caps_at_demand_and_redistributes() {
         // A station wanting only 0.5 Mbit/s frees airtime for the rest.
-        let a = waterfill_airtime(&[0.5e6, 1e9], &[11e6, 11e6], &[1.0, 1.0]);
+        let mut a = Vec::new();
+        waterfill_airtime(
+            &[0.5e6, 1e9],
+            &[11e6, 11e6],
+            &[1.0, 1.0],
+            &mut a,
+            &mut Vec::new(),
+        );
         assert!((a[0] - 0.5e6).abs() < 1.0, "{a:?}");
         // Remaining airtime: 1 - 0.5/11; all to station 1 at 11 Mbit/s.
         let expect = (1.0 - 0.5 / 11.0) * 11e6;
@@ -240,7 +266,14 @@ mod tests {
     #[test]
     fn waterfill_honours_weights() {
         // Weight 2 vs 1, equal rates, both greedy: 2:1 throughput split.
-        let a = waterfill_airtime(&[1e9, 1e9], &[11e6, 11e6], &[2.0, 1.0]);
+        let mut a = Vec::new();
+        waterfill_airtime(
+            &[1e9, 1e9],
+            &[11e6, 11e6],
+            &[2.0, 1.0],
+            &mut a,
+            &mut Vec::new(),
+        );
         assert!((a[0] / a[1] - 2.0).abs() < 1e-9, "{a:?}");
     }
 
@@ -248,7 +281,8 @@ mod tests {
     fn waterfill_airtime_budget_is_conserved() {
         let demands = [2e6, 5e6, 1e9, 0.0];
         let rates = [11e6, 5.5e6, 2e6, 1e6];
-        let a = waterfill_airtime(&demands, &rates, &[1.0; 4]);
+        let mut a = Vec::new();
+        waterfill_airtime(&demands, &rates, &[1.0; 4], &mut a, &mut Vec::new());
         let airtime: f64 = a.iter().zip(rates.iter()).map(|(x, r)| x / r).sum();
         assert!(airtime <= 1.0 + 1e-9, "airtime {airtime}");
         for (x, d) in a.iter().zip(demands.iter()) {

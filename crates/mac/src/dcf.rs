@@ -177,10 +177,15 @@ struct Station {
     airtime_this_frame: SimDuration,
 }
 
+#[derive(Clone, Copy)]
 struct InFlight {
     frame: Frame,
     data_lost: bool,
     ack_lost: bool,
+    /// Busy span of a clean exchange.
+    span: SimDuration,
+    /// Busy span if this attempt collides (shorter under RTS/CTS).
+    collision_span: SimDuration,
     airtime: SimDuration,
 }
 
@@ -322,11 +327,18 @@ impl DcfWorld {
         self.stats
     }
 
-    /// Hands a frame to the MAC of `frame.src`.
+    /// Hands a frame to the MAC of `frame.src`, appending the resulting
+    /// effects to `effects`.
     ///
-    /// Returns `Err(frame)` (unchanged) if that MAC is still working on a
-    /// previous frame; check [`DcfWorld::can_accept`] first.
-    pub fn offer_frame(&mut self, now: SimTime, frame: Frame) -> Result<Vec<MacEffect>, Frame> {
+    /// Returns `Err(frame)` (unchanged, with nothing appended) if that
+    /// MAC is still working on a previous frame; check
+    /// [`DcfWorld::can_accept`] first.
+    pub fn offer_frame(
+        &mut self,
+        now: SimTime,
+        frame: Frame,
+        effects: &mut Vec<MacEffect>,
+    ) -> Result<(), Frame> {
         let idx = frame.src.index();
         assert!(idx < self.stations.len(), "unknown source station");
         assert!(
@@ -336,7 +348,6 @@ impl DcfWorld {
         if self.stations[idx].pending.is_some() {
             return Err(frame);
         }
-        let mut effects = Vec::new();
         let medium_busy = self.busy_until.is_some_and(|t| now < t);
         let needs_backoff = self.stations[idx].backoff.is_none();
         if needs_backoff {
@@ -362,55 +373,58 @@ impl DcfWorld {
         st.pending = Some(frame);
         st.retries = 0;
         st.airtime_this_frame = SimDuration::ZERO;
-        self.reschedule_access(now, &mut effects);
-        Ok(effects)
+        self.reschedule_access(now, effects);
+        Ok(())
     }
 
     /// Forbids `node` from starting new transmissions until `until`
     /// (TBR client-cooperation, §4.1 of the paper; also how a
     /// multi-cell driver imposes a co-channel neighbour's busy period).
-    /// Returns the timer event the embedder must schedule. A defer can
-    /// only be extended: a request ending before an already-set defer
-    /// is a no-op (the pending expiry timer stays valid).
-    pub fn set_defer(&mut self, now: SimTime, node: NodeId, until: SimTime) -> Vec<MacEffect> {
-        let mut effects = Vec::new();
+    /// Appends the timer event the embedder must schedule to `effects`.
+    /// A defer can only be extended: a request ending before an
+    /// already-set defer is a no-op (the pending expiry timer stays
+    /// valid).
+    pub fn set_defer(
+        &mut self,
+        now: SimTime,
+        node: NodeId,
+        until: SimTime,
+        effects: &mut Vec<MacEffect>,
+    ) {
         if until <= now {
-            return effects;
+            return;
         }
         if self.stations[node.index()]
             .defer_until
             .is_some_and(|t| t >= until)
         {
-            return effects;
+            return;
         }
         self.stations[node.index()].defer_until = Some(until);
         effects.push(MacEffect::Schedule {
             at: until,
             event: MacEvent::DeferExpired { node },
         });
-        self.reschedule_access(now, &mut effects);
-        effects
+        self.reschedule_access(now, effects);
     }
 
-    /// Delivers a due event.
-    pub fn handle(&mut self, now: SimTime, event: MacEvent) -> Vec<MacEffect> {
-        let mut effects = Vec::new();
+    /// Delivers a due event, appending its effects to `effects`.
+    pub fn handle(&mut self, now: SimTime, event: MacEvent, effects: &mut Vec<MacEffect>) {
         match event {
             MacEvent::AccessResolved { generation } => {
                 if generation == self.generation && self.busy_until.is_none() {
-                    self.on_access(now, &mut effects);
+                    self.on_access(now, effects);
                 }
             }
-            MacEvent::TxEnd => self.on_tx_end(now, &mut effects),
+            MacEvent::TxEnd => self.on_tx_end(now, effects),
             MacEvent::DeferExpired { node } => {
                 let st = &mut self.stations[node.index()];
                 if st.defer_until.is_some_and(|t| t <= now) {
                     st.defer_until = None;
-                    self.reschedule_access(now, &mut effects);
+                    self.reschedule_access(now, effects);
                 }
             }
         }
-        effects
     }
 
     fn draw_backoff(&mut self, cw: u32) -> u32 {
@@ -443,10 +457,7 @@ impl DcfWorld {
             return; // TxEnd will reschedule.
         }
         self.generation += 1; // Invalidate any previously scheduled access.
-        let contenders: Vec<usize> = (0..self.stations.len())
-            .filter(|&i| self.is_contender(i, now))
-            .collect();
-        if contenders.is_empty() {
+        if !(0..self.stations.len()).any(|i| self.is_contender(i, now)) {
             self.countdown_active = false;
             self.contention_since = None;
             return;
@@ -475,11 +486,11 @@ impl DcfWorld {
             self.anchor = new_anchor;
             self.countdown_active = true;
         }
-        let min_b = contenders
-            .iter()
-            .map(|&i| self.stations[i].backoff.unwrap_or(0))
+        let min_b = (0..self.stations.len())
+            .filter(|&i| self.is_contender(i, now))
+            .map(|i| self.stations[i].backoff.unwrap_or(0))
             .min()
-            .expect("non-empty contenders");
+            .expect("a contender exists");
         effects.push(MacEffect::Schedule {
             at: self.anchor + slot * min_b as u64,
             event: MacEvent::AccessResolved {
@@ -500,10 +511,9 @@ impl DcfWorld {
         self.anchor = now;
         self.countdown_active = false;
 
-        let winners: Vec<usize> = (0..self.stations.len())
-            .filter(|&i| self.is_contender(i, now) && self.stations[i].backoff == Some(0))
-            .collect();
-        if winners.is_empty() {
+        let is_winner =
+            |w: &Self, i: usize| w.is_contender(i, now) && w.stations[i].backoff == Some(0);
+        if !(0..self.stations.len()).any(|i| is_winner(self, i)) {
             // Stale state (e.g. the minimum-backoff station was deferred
             // in the meantime); recompute.
             self.reschedule_access(now, effects);
@@ -511,9 +521,16 @@ impl DcfWorld {
         }
 
         let phy = self.config.phy;
-        let mut busy_span = SimDuration::ZERO;
-        let mut spans: Vec<(SimDuration, SimDuration)> = Vec::with_capacity(winners.len());
-        for &w in &winners {
+        debug_assert!(self.in_flight.is_empty(), "previous cycle not drained");
+        for w in 0..self.stations.len() {
+            // A winner's own draw consumes only its own backoff, so the
+            // test for later stations is unaffected by earlier winners.
+            if !is_winner(self, w) {
+                continue;
+            }
+            if self.stations[w].retries > 0 {
+                self.stats.retries += 1;
+            }
             let mut frame = self.stations[w].pending.expect("contender has a frame");
             if self.config.retry_rate_fallback {
                 // Multi-rate retry chain: r, r, r−1, r−1, r−2, …
@@ -553,26 +570,24 @@ impl DcfWorld {
             } else {
                 span
             };
-            spans.push((span, collision_span));
             self.in_flight.push(InFlight {
                 frame,
                 data_lost,
                 ack_lost,
+                span,
+                collision_span,
                 airtime: SimDuration::ZERO, // filled below
             });
             self.stations[w].backoff = None; // consumed
         }
-        self.stats.attempts += winners.len() as u64;
-        self.stats.retries += winners
-            .iter()
-            .filter(|&&w| self.stations[w].retries > 0)
-            .count() as u64;
-        let collided = winners.len() > 1;
+        self.stats.attempts += self.in_flight.len() as u64;
+        let collided = self.in_flight.len() > 1;
         if collided {
             self.stats.collision_events += 1;
         }
-        for (tx, &(span, collision_span)) in self.in_flight.iter_mut().zip(&spans) {
-            let effective = if collided { collision_span } else { span };
+        let mut busy_span = SimDuration::ZERO;
+        for tx in &mut self.in_flight {
+            let effective = if collided { tx.collision_span } else { tx.span };
             busy_span = busy_span.max(effective);
             // Per-attempt occupancy: DIFS + the attempt's air (§2.3).
             tx.airtime = phy.difs() + effective;
@@ -683,15 +698,15 @@ impl DcfWorld {
     /// Emits the ledger slices covering everything not yet accounted
     /// for, up to `end`: the in-progress busy period clipped at `end`,
     /// or the trailing idle/contention gap. Call once when the run
-    /// ends so the timeline tiles `[0, end]` exactly.
-    pub fn drain_airtime_tail(&mut self, end: SimTime) -> Vec<MacEffect> {
-        let mut effects = Vec::new();
+    /// ends so the timeline tiles `[0, end]` exactly. The slices are
+    /// appended to `effects`.
+    pub fn drain_airtime_tail(&mut self, end: SimTime, effects: &mut Vec<MacEffect>) {
         if !self.emit_airtime {
-            return effects;
+            return;
         }
         if !self.pending_slices.is_empty() {
             // Mid-transmission: the captured cycle runs past `end`.
-            for (start, dur, client, kind) in std::mem::take(&mut self.pending_slices) {
+            for (start, dur, client, kind) in self.pending_slices.drain(..) {
                 if start >= end {
                     continue;
                 }
@@ -730,7 +745,6 @@ impl DcfWorld {
                 });
             }
         }
-        effects
     }
 
     fn on_tx_end(&mut self, now: SimTime, effects: &mut Vec<MacEffect>) {
@@ -747,8 +761,10 @@ impl DcfWorld {
             }
         }
         let collision = self.in_flight.len() > 1;
-        let flights = std::mem::take(&mut self.in_flight);
-        for tx in flights {
+        // Indexed, because settling a frame needs `&mut self`; nothing
+        // below touches `in_flight`, which is cleared afterwards.
+        for k in 0..self.in_flight.len() {
+            let tx = self.in_flight[k];
             let client = self.client_of(&tx.frame);
             self.occupancy[client] += tx.airtime;
             let idx = tx.frame.src.index();
@@ -798,6 +814,7 @@ impl DcfWorld {
                 }
             }
         }
+        self.in_flight.clear();
         self.reschedule_access(now, effects);
     }
 

@@ -69,9 +69,9 @@ impl Driver {
             handle: self.next_handle,
         };
         self.next_handle += 1;
-        let effects = self
-            .world
-            .offer_frame(self.now, frame)
+        let mut effects = Vec::new();
+        self.world
+            .offer_frame(self.now, frame, &mut effects)
             .expect("offer to idle MAC");
         self.apply(effects);
     }
@@ -89,7 +89,8 @@ impl Driver {
                 break;
             }
             self.now = t;
-            let effects = self.world.handle(t, ev);
+            let mut effects = Vec::new();
+            self.world.handle(t, ev, &mut effects);
             self.apply(effects);
             for &(src, dst, bytes, rate) in sources {
                 if self.world.can_accept(src) {
@@ -225,7 +226,8 @@ fn dead_link_drops_after_retry_limit() {
     // attempts.
     while let Some((t, ev)) = d.queue.pop() {
         d.now = t;
-        let eff = d.world.handle(t, ev);
+        let mut eff = Vec::new();
+        d.world.handle(t, ev, &mut eff);
         d.apply(eff);
     }
     assert_eq!(d.finals.len(), 1);
@@ -251,7 +253,8 @@ fn simultaneous_arrivals_collide_then_recover() {
     d.offer(NodeId(2), AP, 1500, DataRate::B11);
     while let Some((t, ev)) = d.queue.pop() {
         d.now = t;
-        let eff = d.world.handle(t, ev);
+        let mut eff = Vec::new();
+        d.world.handle(t, ev, &mut eff);
         d.apply(eff);
     }
     assert!(d.world.stats().collision_events >= 1);
@@ -270,12 +273,14 @@ fn simultaneous_arrivals_collide_then_recover() {
 fn deferred_station_stays_silent_until_timer() {
     let mut d = Driver::new(perfect_links(2), 7);
     let until = SimTime::from_millis(50);
-    let eff = d.world.set_defer(SimTime::ZERO, NodeId(1), until);
+    let mut eff = Vec::new();
+    d.world.set_defer(SimTime::ZERO, NodeId(1), until, &mut eff);
     d.apply(eff);
     d.offer(NodeId(1), AP, 1500, DataRate::B11);
     while let Some((t, ev)) = d.queue.pop() {
         d.now = t;
-        let eff = d.world.handle(t, ev);
+        let mut eff = Vec::new();
+        d.world.handle(t, ev, &mut eff);
         d.apply(eff);
     }
     assert_eq!(d.delivered.len(), 1);
@@ -345,7 +350,10 @@ fn offer_to_busy_mac_is_rejected_unchanged() {
         rate: DataRate::B1,
         handle: 777,
     };
-    let back = d.world.offer_frame(d.now, dup).unwrap_err();
+    let back = d
+        .world
+        .offer_frame(d.now, dup, &mut Vec::new())
+        .unwrap_err();
     assert_eq!(back, dup);
 }
 

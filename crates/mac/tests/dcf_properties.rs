@@ -61,7 +61,8 @@ fn run_cell(stations: &[Station], seed: u64) -> (u64, u64, u64, u64, u64, u64) {
                     handle,
                 };
                 handle += 1;
-                if let Ok(fx) = world.offer_frame(now, frame) {
+                let mut fx = Vec::new();
+                if world.offer_frame(now, frame, &mut fx).is_ok() {
                     for e in fx {
                         if let MacEffect::Schedule { at, event } = e {
                             queue.schedule(at, event);
@@ -77,7 +78,9 @@ fn run_cell(stations: &[Station], seed: u64) -> (u64, u64, u64, u64, u64, u64) {
             break;
         }
         now = t;
-        for e in world.handle(t, ev) {
+        let mut fx = Vec::new();
+        world.handle(t, ev, &mut fx);
+        for e in fx {
             if let MacEffect::Schedule { at, event } = e {
                 queue.schedule(at, event);
             }

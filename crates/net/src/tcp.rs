@@ -488,13 +488,13 @@ impl TcpReceiver {
         });
     }
 
-    /// Processes an arriving data segment.
-    pub fn on_data(&mut self, now: SimTime, seq: u64) -> Vec<ReceiverEffect> {
-        let mut effects = Vec::new();
+    /// Processes an arriving data segment, appending the resulting
+    /// effects to `effects`.
+    pub fn on_data(&mut self, now: SimTime, seq: u64, effects: &mut Vec<ReceiverEffect>) {
         if seq < self.expected || self.ooo.contains(&seq) {
             // Duplicate: re-ack immediately.
             self.duplicates += 1;
-            self.ack_now(&mut effects);
+            self.ack_now(effects);
         } else if seq == self.expected {
             self.expected += 1;
             let mut drained = 0u64;
@@ -510,7 +510,7 @@ impl TcpReceiver {
                 // A hole was just filled (ack immediately per RFC 5681),
                 // a hole remains beyond (keep the dupack clock running),
                 // or the delayed-ack segment count was reached.
-                self.ack_now(&mut effects);
+                self.ack_now(effects);
             } else if !self.delack_armed {
                 self.delack_armed = true;
                 self.delack_generation += 1;
@@ -523,18 +523,16 @@ impl TcpReceiver {
             // Hole: buffer and send an immediate duplicate ACK.
             self.ooo.insert(seq);
             self.duplicates += 0;
-            self.ack_now(&mut effects);
+            self.ack_now(effects);
         }
-        effects
     }
 
-    /// Handles a delayed-ACK timer expiry.
-    pub fn on_delack_fired(&mut self, generation: u64) -> Vec<ReceiverEffect> {
-        let mut effects = Vec::new();
+    /// Handles a delayed-ACK timer expiry, appending the resulting
+    /// effects to `effects`.
+    pub fn on_delack_fired(&mut self, generation: u64, effects: &mut Vec<ReceiverEffect>) {
         if self.delack_armed && generation == self.delack_generation && self.unacked_inorder > 0 {
-            self.ack_now(&mut effects);
+            self.ack_now(effects);
         }
-        effects
     }
 }
 
@@ -544,6 +542,13 @@ mod tests {
 
     fn cfg() -> TcpConfig {
         TcpConfig::default()
+    }
+
+    /// Delivers segment `seq` at t = 0 and returns just its effects.
+    fn on_data(r: &mut TcpReceiver, seq: u64) -> Vec<ReceiverEffect> {
+        let mut fx = Vec::new();
+        r.on_data(SimTime::ZERO, seq, &mut fx);
+        fx
     }
 
     #[test]
@@ -745,9 +750,9 @@ mod tests {
     #[test]
     fn receiver_delays_acks_every_second_segment() {
         let mut r = TcpReceiver::new(FlowId(0), cfg());
-        let fx = r.on_data(SimTime::ZERO, 0);
+        let fx = on_data(&mut r, 0);
         assert!(matches!(fx[0], ReceiverEffect::ArmDelAck { .. }));
-        let fx = r.on_data(SimTime::ZERO, 1);
+        let fx = on_data(&mut r, 1);
         assert_eq!(fx, vec![ReceiverEffect::SendAck { ack_seq: 2 }]);
         assert_eq!(r.contiguous_segments(), 2);
     }
@@ -755,29 +760,32 @@ mod tests {
     #[test]
     fn receiver_delack_timer_flushes() {
         let mut r = TcpReceiver::new(FlowId(0), cfg());
-        let fx = r.on_data(SimTime::ZERO, 0);
+        let fx = on_data(&mut r, 0);
         let generation = match fx[0] {
             ReceiverEffect::ArmDelAck { generation, .. } => generation,
             _ => panic!("expected delack arm"),
         };
-        let fx = r.on_delack_fired(generation);
+        let mut fx = Vec::new();
+        r.on_delack_fired(generation, &mut fx);
         assert_eq!(fx, vec![ReceiverEffect::SendAck { ack_seq: 1 }]);
         // Stale timer does nothing.
-        assert!(r.on_delack_fired(generation).is_empty());
+        fx.clear();
+        r.on_delack_fired(generation, &mut fx);
+        assert!(fx.is_empty());
     }
 
     #[test]
     fn receiver_dupacks_on_hole_and_heals() {
         let mut r = TcpReceiver::new(FlowId(0), cfg());
-        let fx = r.on_data(SimTime::ZERO, 0);
+        let fx = on_data(&mut r, 0);
         assert!(matches!(fx[0], ReceiverEffect::ArmDelAck { .. }));
         // Segment 1 lost; 2 and 3 arrive → immediate dupacks of 1.
-        let fx = r.on_data(SimTime::ZERO, 2);
+        let fx = on_data(&mut r, 2);
         assert_eq!(fx, vec![ReceiverEffect::SendAck { ack_seq: 1 }]);
-        let fx = r.on_data(SimTime::ZERO, 3);
+        let fx = on_data(&mut r, 3);
         assert_eq!(fx, vec![ReceiverEffect::SendAck { ack_seq: 1 }]);
         // Retransmission of 1 heals through the buffer.
-        let fx = r.on_data(SimTime::ZERO, 1);
+        let fx = on_data(&mut r, 1);
         assert_eq!(fx, vec![ReceiverEffect::SendAck { ack_seq: 4 }]);
         assert_eq!(r.contiguous_segments(), 4);
     }
@@ -785,9 +793,9 @@ mod tests {
     #[test]
     fn receiver_reacks_duplicates() {
         let mut r = TcpReceiver::new(FlowId(0), cfg());
-        r.on_data(SimTime::ZERO, 0);
-        r.on_data(SimTime::ZERO, 1);
-        let fx = r.on_data(SimTime::ZERO, 0); // duplicate
+        on_data(&mut r, 0);
+        on_data(&mut r, 1);
+        let fx = on_data(&mut r, 0); // duplicate
         assert_eq!(fx, vec![ReceiverEffect::SendAck { ack_seq: 2 }]);
         assert_eq!(r.duplicates(), 1);
     }

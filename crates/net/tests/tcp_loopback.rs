@@ -130,7 +130,8 @@ impl Loopback {
             match ev {
                 Ev::Arrive(pkt) => match pkt.kind {
                     PacketKind::TcpData { seq } => {
-                        let fx = self.receiver.on_data(t, seq);
+                        let mut fx = Vec::new();
+                        self.receiver.on_data(t, seq, &mut fx);
                         self.receiver_effects(fx);
                     }
                     PacketKind::TcpAck { ack_seq } => {
@@ -148,7 +149,8 @@ impl Loopback {
                     self.pump_sender();
                 }
                 Ev::DelAckFired(generation) => {
-                    let fx = self.receiver.on_delack_fired(generation);
+                    let mut fx = Vec::new();
+                    self.receiver.on_delack_fired(generation, &mut fx);
                     self.receiver_effects(fx);
                 }
                 Ev::Pump => self.pump_sender(),

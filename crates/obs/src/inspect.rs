@@ -61,6 +61,9 @@ pub struct InspectSummary {
     pub total: u64,
     /// Lines that failed to parse (counted, not fatal).
     pub malformed: u64,
+    /// 1-based line number and parse error of the first malformed
+    /// line, if any.
+    pub first_malformed: Option<(u64, String)>,
     /// Record counts by `"type"`, sorted descending.
     pub by_type: Vec<(String, u64)>,
     /// First record timestamp.
@@ -109,15 +112,16 @@ where
     let mut tokens: Vec<TokenAcc> = Vec::new();
     let mut backoff_slots_sum = 0u64;
 
-    for line in lines {
+    for (i, line) in lines.into_iter().enumerate() {
         let line = line.as_ref().trim();
         if line.is_empty() {
             continue;
         }
         let rec = match parse_line(line) {
             Ok(r) => r,
-            Err(_) => {
+            Err(e) => {
                 s.malformed += 1;
+                s.first_malformed.get_or_insert((i as u64 + 1, e));
                 continue;
             }
         };
@@ -494,6 +498,7 @@ mod tests {
         ls.push(String::new());
         let s = summarize(ls);
         assert_eq!(s.malformed, 1);
+        assert_eq!(s.first_malformed.as_ref().map(|(line, _)| *line), Some(3));
         assert_eq!(s.total, 11);
     }
 

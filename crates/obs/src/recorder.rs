@@ -18,8 +18,11 @@
 //! "flight recorder" proper: history survives a crash-adjacent
 //! surprise without unbounded memory), or — with [`FlightRecorder::
 //! with_window`] — retains exactly one index window for divergence
-//! re-runs. Fingerprinting itself never allocates per event beyond the
-//! optional ring entry.
+//! re-runs. Fingerprinting itself never allocates per event: the
+//! detail text is written into one reused buffer and hashed in place,
+//! and an owned copy is made only when the ring retains the event. At
+//! capacity 0 the recorder allocates only for checkpoints (one per
+//! interval) and a station's first sub-fingerprint.
 //!
 //! Per-station sub-fingerprints (folded from scheduler decisions and
 //! handoffs touching that station) localize a divergence to *who* as
@@ -172,6 +175,8 @@ pub struct FlightRecorder {
     /// Test hook: perturb the record at this stream index before
     /// folding, manufacturing a deterministic synthetic divergence.
     inject_at: Option<u64>,
+    /// Reused buffer the hooks format an event's detail into.
+    scratch: String,
 }
 
 impl Default for FlightRecorder {
@@ -197,6 +202,7 @@ impl FlightRecorder {
             window: None,
             station_fp: BTreeMap::new(),
             inject_at: None,
+            scratch: String::new(),
         }
     }
 
@@ -275,29 +281,33 @@ impl FlightRecorder {
         &self.station_fp
     }
 
-    /// Folds one canonical event into the stream. Fingerprinting works
-    /// on the raw parts, so the hot fingerprint-only configuration
-    /// (capacity 0) never allocates; a [`RecordedEvent`] is only built
-    /// when the ring actually retains this index.
+    /// Folds one canonical event into the stream, with the detail text
+    /// that `detail` writes into the reused scratch buffer. Everything
+    /// is hashed from borrowed parts, so the hot fingerprint-only
+    /// configuration (capacity 0) makes no per-event allocation; a
+    /// [`RecordedEvent`] (owning copies of label and detail) is only
+    /// built when the ring actually retains this index.
     fn push(
         &mut self,
         t: SimTime,
         mut seq: u64,
         label: &str,
-        detail: String,
         station: Option<u64>,
+        detail: impl FnOnce(&mut String),
     ) {
-        let mut detail = detail;
+        let mut text = std::mem::take(&mut self.scratch);
+        text.clear();
+        detail(&mut text);
         if self.inject_at == Some(self.events) {
             // A one-bit lie: the injected event claims the wrong queue
             // ordinal, exactly what a real determinism bug looks like.
             seq = seq.wrapping_add(1);
-            detail.push_str(" [injected]");
+            text.push_str(" [injected]");
         }
         let mut h = fnv1a(FNV_OFFSET, label.as_bytes());
         h = fnv1a(h, &[0xff]);
         h = fnv1a(h, &t.as_nanos().to_le_bytes());
-        h = fnv1a(h, detail.as_bytes());
+        h = fnv1a(h, text.as_bytes());
         h = fnv1a(h, &station.unwrap_or(u64::MAX).to_le_bytes());
         self.fp = fold(self.fp, h);
         if let Some(s) = station {
@@ -318,12 +328,13 @@ impl FlightRecorder {
                 t,
                 seq,
                 label: label.to_string(),
-                detail,
+                detail: text.clone(),
                 station,
             });
         } else {
             self.dropped += 1;
         }
+        self.scratch = text;
         self.events += 1;
         self.last_t = t;
         if self.events.is_multiple_of(self.interval) {
@@ -391,7 +402,7 @@ impl Observer for FlightRecorder {
         if label == "sched.tick" {
             return;
         }
-        self.push(t, seq, label, String::new(), None);
+        self.push(t, seq, label, None, |_| {});
     }
 
     fn on_sched_decision(&mut self, rec: EventRecord) {
@@ -402,40 +413,32 @@ impl Observer for FlightRecorder {
             queue_len,
         } = rec
         {
-            self.push(
-                t,
-                0,
-                "sched.decide",
-                format!("client={client} bytes={bytes} qlen={queue_len}"),
-                Some(client),
-            );
+            self.push(t, 0, "sched.decide", Some(client), |d| {
+                let _ = write!(d, "client={client} bytes={bytes} qlen={queue_len}");
+            });
         }
     }
 
     fn on_queue_change(&mut self, rec: EventRecord) {
         if let EventRecord::QueueChange { t, site, key, len } = rec {
-            self.push(
-                t,
-                0,
-                "queue.change",
-                format!("site={site:?} key={key} len={len}"),
-                Some(key),
-            );
+            self.push(t, 0, "queue.change", Some(key), |d| {
+                let _ = write!(d, "site={site:?} key={key} len={len}");
+            });
         }
     }
 
     fn on_handoff(&mut self, t: SimTime, station: u64, from: Option<u64>, to: Option<u64>) {
-        let show = |c: Option<u64>| match c {
-            Some(c) => c.to_string(),
-            None => "-".to_string(),
-        };
-        self.push(
-            t,
-            0,
-            "handoff",
-            format!("from={} to={}", show(from), show(to)),
-            Some(station),
-        );
+        self.push(t, 0, "handoff", Some(station), |d| {
+            for (key, cell) in [("from=", from), (" to=", to)] {
+                d.push_str(key);
+                match cell {
+                    Some(c) => {
+                        let _ = write!(d, "{c}");
+                    }
+                    None => d.push('-'),
+                }
+            }
+        });
     }
 }
 

@@ -103,6 +103,19 @@ pub struct MaxMinScheduler {
     last_accrual: SimTime,
     /// Rotating tie-break origin for equal credits.
     next: usize,
+    /// Waterfilling inputs and outputs, kept between decisions so
+    /// `accrue` allocates nothing in steady state.
+    scratch: Waterfill,
+}
+
+/// Reusable per-slot buffers for one waterfilling pass.
+#[derive(Default)]
+struct Waterfill {
+    demands: Vec<f64>,
+    rates: Vec<f64>,
+    weights: Vec<f64>,
+    targets: Vec<f64>,
+    saturated: Vec<bool>,
 }
 
 impl MaxMinScheduler {
@@ -118,6 +131,7 @@ impl MaxMinScheduler {
             states: Vec::new(),
             last_accrual: SimTime::ZERO,
             next: 0,
+            scratch: Waterfill::default(),
         }
     }
 
@@ -151,27 +165,32 @@ impl MaxMinScheduler {
         if dt <= 0.0 {
             return;
         }
-        let n = self.states.len();
-        let mut demands = vec![0.0; n];
-        let mut rates = vec![0.0; n];
-        let mut weights = vec![0.0; n];
+        let w = &mut self.scratch;
+        w.demands.clear();
+        w.rates.clear();
+        w.weights.clear();
         let mut any = false;
-        for i in 0..n {
-            let s = &self.states[i];
-            rates[i] = s.rate.max(1.0);
-            weights[i] = if s.active { s.weight } else { 0.0 };
-            if s.active && !self.pool.queues[i].is_empty() {
-                // Saturated demand: a backlogged client wants all the
-                // rate its link can carry; the water level trims it.
-                demands[i] = rates[i];
-                any = true;
-            }
+        for (i, s) in self.states.iter().enumerate() {
+            let rate = s.rate.max(1.0);
+            w.rates.push(rate);
+            w.weights.push(if s.active { s.weight } else { 0.0 });
+            // Saturated demand: a backlogged client wants all the rate
+            // its link can carry; the water level trims it.
+            let backlogged = s.active && !self.pool.queues[i].is_empty();
+            w.demands.push(if backlogged { rate } else { 0.0 });
+            any |= backlogged;
         }
         if !any {
             return;
         }
-        let targets = waterfill_airtime(&demands, &rates, &weights);
-        for (s, &target) in self.states.iter_mut().zip(&targets) {
+        waterfill_airtime(
+            &w.demands,
+            &w.rates,
+            &w.weights,
+            &mut w.targets,
+            &mut w.saturated,
+        );
+        for (s, &target) in self.states.iter_mut().zip(&w.targets) {
             let cap = CREDIT_CAP_SECS * target.max(s.rate);
             s.credit = (s.credit + target * dt).min(cap);
         }

@@ -19,6 +19,24 @@
 //! every event takes the O(1) L0 path, versus O(log n) for every
 //! `BinaryHeap` operation.
 //!
+//! # Bucket recycling
+//!
+//! A drained slot leaves an empty `Vec` behind with no capacity; the
+//! drained bucket itself, once emptied (popped out as `cur`, or
+//! cascaded into a finer level), goes back to its level's `spare`
+//! pool (`cur` belongs to L0). A push into a slot without capacity
+//! takes a bucket from that pool before it would allocate. The number
+//! of live buckets therefore tracks the number of *occupied* slots,
+//! not the number of slots ever touched, and a wheel at a steady
+//! pending load allocates nothing once its buckets have grown to size.
+//!
+//! The pools are per level because bucket sizes differ by level: the
+//! L2 slot for the next 67 ms window collects every timer that lands
+//! past the current L1 span, often hundreds, while most L0 slots hold
+//! one or two. A single shared pool would hand that large bucket to an
+//! L0 slot after each cascade and regrow a small one for the next L2
+//! window from scratch, every window.
+//!
 //! # Determinism
 //!
 //! The wheel honours the exact [`Timeline`] contract — global
@@ -59,10 +77,14 @@ const L2_SHIFT: u32 = L1_SHIFT + SLOT_BITS;
 /// overflow heap.
 const TOP_SHIFT: u32 = L2_SHIFT + SLOT_BITS;
 
+/// The entries of one slot. Emptied buckets are recycled through
+/// their level's spare pool (see the module docs).
+type Bucket<E> = Vec<Entry<E>>;
+
 /// One wheel level: 256 buckets plus an occupancy bitmap so empty
 /// stretches scan at 64 slots per instruction.
 struct Level<E> {
-    slots: Vec<Vec<Entry<E>>>,
+    slots: Vec<Bucket<E>>,
     bits: [u64; 4],
     /// Nanosecond timestamp of slot 0 of the span this level currently
     /// covers (always a multiple of the level's full span).
@@ -72,6 +94,8 @@ struct Level<E> {
     /// or after `pos`, because events behind the cursor are routed to
     /// `cur` (L0) or a finer level (L1/L2) instead.
     pos: usize,
+    /// Emptied buckets with capacity, waiting for a slot to need one.
+    spare: Vec<Bucket<E>>,
 }
 
 impl<E> Level<E> {
@@ -81,12 +105,21 @@ impl<E> Level<E> {
             bits: [0; 4],
             base: 0,
             pos: 1,
+            spare: Vec::new(),
         }
     }
 
+    /// Files `e` under `slot`, taking a recycled bucket from the
+    /// spare pool when the slot has no storage of its own.
     fn push(&mut self, slot: usize, e: Entry<E>) {
         self.bits[slot >> 6] |= 1 << (slot & 63);
-        self.slots[slot].push(e);
+        let bucket = &mut self.slots[slot];
+        if bucket.capacity() == 0 {
+            if let Some(b) = self.spare.pop() {
+                *bucket = b;
+            }
+        }
+        bucket.push(e);
     }
 
     /// Index of the first occupied slot at or after `pos`, if any.
@@ -108,17 +141,30 @@ impl<E> Level<E> {
         }
     }
 
-    /// Removes and returns the contents of `slot`, advancing `pos`
-    /// past it.
-    fn drain(&mut self, slot: usize) -> Vec<Entry<E>> {
+    /// Removes and returns the contents of `slot` (leaving it without
+    /// storage), advancing `pos` past it.
+    fn drain(&mut self, slot: usize) -> Bucket<E> {
         self.bits[slot >> 6] &= !(1 << (slot & 63));
         self.pos = slot + 1;
         std::mem::take(&mut self.slots[slot])
     }
 
+    /// Returns an emptied bucket to the spare pool (buckets that never
+    /// allocated are not worth keeping).
+    fn recycle(&mut self, bucket: Bucket<E>) {
+        debug_assert!(bucket.is_empty(), "recycled bucket still holds entries");
+        if bucket.capacity() > 0 {
+            self.spare.push(bucket);
+        }
+    }
+
+    /// Empties every slot, returning their buckets to the spare pool.
     fn reset(&mut self) {
         for s in &mut self.slots {
-            s.clear();
+            if s.capacity() > 0 {
+                s.clear();
+                self.spare.push(std::mem::take(s));
+            }
         }
         self.bits = [0; 4];
         self.base = 0;
@@ -144,7 +190,7 @@ impl<E> Level<E> {
 pub struct TimerWheel<E> {
     /// The drained bucket currently being popped, sorted by
     /// `(time, seq)` *descending* so `pop` is `Vec::pop`.
-    cur: Vec<Entry<E>>,
+    cur: Bucket<E>,
     /// Absolute index (`time >> L0_SHIFT`) of the L0 slot `cur` was
     /// drained from. Schedules at or behind this slot insertion-sort
     /// into `cur`; everything later takes a wheel slot.
@@ -205,11 +251,14 @@ impl<E> TimerWheel<E> {
             let idx = self.cur.partition_point(|x| (x.time, x.seq) > key);
             self.cur.insert(idx, e);
         } else if t >> L1_SHIFT == self.l0.base >> L1_SHIFT {
-            self.l0.push((t >> L0_SHIFT) as usize & (SLOTS - 1), e);
+            let slot = (t >> L0_SHIFT) as usize & (SLOTS - 1);
+            self.l0.push(slot, e);
         } else if t >> L2_SHIFT == self.l1.base >> L2_SHIFT {
-            self.l1.push((t >> L1_SHIFT) as usize & (SLOTS - 1), e);
+            let slot = (t >> L1_SHIFT) as usize & (SLOTS - 1);
+            self.l1.push(slot, e);
         } else if t >> TOP_SHIFT == self.l2.base >> TOP_SHIFT {
-            self.l2.push((t >> L2_SHIFT) as usize & (SLOTS - 1), e);
+            let slot = (t >> L2_SHIFT) as usize & (SLOTS - 1);
+            self.l2.push(slot, e);
         } else {
             self.overflow.push(e);
         }
@@ -228,26 +277,31 @@ impl<E> TimerWheel<E> {
             if let Some(i) = self.l0.next_occupied() {
                 let mut bucket = self.l0.drain(i);
                 bucket.sort_unstable_by_key(|e| std::cmp::Reverse((e.time, e.seq)));
-                self.cur = bucket;
+                let spent = std::mem::replace(&mut self.cur, bucket);
+                self.l0.recycle(spent);
                 self.cur_slot = (self.l0.base >> L0_SHIFT) + i as u64;
                 return true;
             }
             if let Some(i) = self.l1.next_occupied() {
                 self.l0.base = self.l1.base + ((i as u64) << L1_SHIFT);
                 self.l0.pos = 0;
-                for e in self.l1.drain(i) {
+                let mut bucket = self.l1.drain(i);
+                for e in bucket.drain(..) {
                     let slot = (e.time.as_nanos() >> L0_SHIFT) as usize & (SLOTS - 1);
                     self.l0.push(slot, e);
                 }
+                self.l1.recycle(bucket);
                 continue;
             }
             if let Some(i) = self.l2.next_occupied() {
                 self.l1.base = self.l2.base + ((i as u64) << L2_SHIFT);
                 self.l1.pos = 0;
-                for e in self.l2.drain(i) {
+                let mut bucket = self.l2.drain(i);
+                for e in bucket.drain(..) {
                     let slot = (e.time.as_nanos() >> L1_SHIFT) as usize & (SLOTS - 1);
                     self.l1.push(slot, e);
                 }
+                self.l2.recycle(bucket);
                 continue;
             }
             let Some(head) = self.overflow.peek() else {

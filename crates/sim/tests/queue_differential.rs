@@ -143,3 +143,83 @@ fn wheel_matches_heap_after_clear_reuse() {
         let _ = q;
     }
 }
+
+/// Drives both backends through a trace built to recycle wheel buckets
+/// hard: every schedule lands on L1, L2 or overflow horizons (with some
+/// L0 traffic mixed in), pops come in batches deep enough to cascade
+/// every level many times over, and `clear()` hits both queues
+/// mid-stream while all levels hold entries. Emptied buckets go back to
+/// per-level spare pools and are handed to the next slot that needs
+/// storage, so a recycled bucket that still carried an entry (a stale
+/// pop the heap never makes) or lost its `(time, seq)` order (a
+/// FIFO swap on a shared timestamp) breaks lockstep.
+fn recycling_trace(seed: u64, ops: usize) {
+    let mut rng = SimRng::new(seed);
+    let mut heap: EventQueue<u64> = EventQueue::new();
+    let mut wheel: TimerWheel<u64> = TimerWheel::new();
+    let mut now_ns = 0u64;
+    let mut tag = 0u64;
+    let mut clears = 0;
+    let mut popped = 0u64;
+    for _ in 0..ops {
+        match rng.below(100) {
+            0 => {
+                heap.clear();
+                Timeline::clear(&mut wheel);
+                now_ns = 0;
+                clears += 1;
+            }
+            1..=40 => {
+                let offset = match rng.below(8) {
+                    0..=1 => 262_144 + rng.below(60_000_000),        // L1 span
+                    2..=4 => 67_108_864 + rng.below(15_000_000_000), // L2 span
+                    5..=6 => 17_179_869_184 + rng.below(60_000_000_000), // overflow
+                    _ => rng.below(260_000),                         // L0 span
+                };
+                let t = now_ns + offset;
+                // A burst on one slot: shared timestamps (the FIFO
+                // signal) plus a few distinct times inside it.
+                for _ in 0..1 + rng.below(12) {
+                    let at = SimTime::from_nanos(t + rng.below(4) * 100);
+                    heap.schedule(at, tag);
+                    Timeline::schedule(&mut wheel, at, tag);
+                    tag += 1;
+                }
+            }
+            _ => {
+                for _ in 0..1 + rng.below(24) {
+                    let a = heap.pop();
+                    let b = Timeline::pop(&mut wheel);
+                    assert_eq!(a, b, "pop mismatch at now={now_ns} after {clears} clears");
+                    match a {
+                        Some((t, _)) => {
+                            now_ns = t.as_nanos();
+                            popped += 1;
+                        }
+                        None => break,
+                    }
+                    assert_eq!(heap.last_seq(), Timeline::last_seq(&wheel));
+                }
+            }
+        }
+        assert_eq!(heap.len(), Timeline::len(&wheel));
+        assert_eq!(heap.events_processed(), wheel.events_processed());
+    }
+    assert!(clears >= 3, "trace cleared only {clears} times");
+    assert!(popped >= 20_000, "trace popped only {popped} events");
+    loop {
+        let a = heap.pop();
+        let b = Timeline::pop(&mut wheel);
+        assert_eq!(a, b, "drain mismatch");
+        if a.is_none() {
+            break;
+        }
+    }
+}
+
+#[test]
+fn wheel_matches_heap_through_bucket_recycling_and_clears() {
+    for seed in [3, 17, 0xC0FFEE] {
+        recycling_trace(seed, 20_000);
+    }
+}

@@ -172,6 +172,14 @@ struct Sim<'c, O: Observer> {
     /// EWMA of observed downlink attempt-failure rate per node (the
     /// §4.2 loss estimator's input).
     fer_est: Vec<f64>,
+    /// Reusable effect buffers. Each is taken out for one MAC or
+    /// transport call plus the application of its effects, then put
+    /// back, so the steady-state loop allocates none of them; an
+    /// application that re-enters (see [`Sim::with_mac`]) simply runs
+    /// on a buffer of its own.
+    mac_fx: Vec<MacEffect>,
+    sender_fx: Vec<SenderEffect>,
+    receiver_fx: Vec<ReceiverEffect>,
 }
 
 /// Runs one experiment to completion.
@@ -447,6 +455,9 @@ impl<'c, O: Observer> Sim<'c, O> {
             busy_at_warmup: SimDuration::ZERO,
             trace: cfg.record_trace.then(|| Trace::new(cfg.duration)),
             fer_est: vec![0.0; n + 1],
+            mac_fx: Vec::new(),
+            sender_fx: Vec::new(),
+            receiver_fx: Vec::new(),
         }
     }
 
@@ -684,8 +695,7 @@ impl<'c, O: Observer> Sim<'c, O> {
         if !self.obs.active() {
             return;
         }
-        let fx = self.mac.drain_airtime_tail(end);
-        self.apply_mac_effects(fx);
+        self.with_mac(|mac, fx| mac.drain_airtime_tail(end, fx));
         self.obs.on_run_mark(EventRecord::RunMark {
             t: end,
             phase: RunPhase::End,
@@ -753,8 +763,8 @@ impl<'c, O: Observer> Sim<'c, O> {
     fn dispatch(&mut self, ev: Event) {
         match ev {
             Event::Mac(me) => {
-                let fx = self.mac.handle(self.now, me);
-                self.apply_mac_effects(fx);
+                let now = self.now;
+                self.with_mac(|mac, fx| mac.handle(now, me, fx));
             }
             Event::WiredToAp(pkt) => self.on_wired_to_ap(pkt),
             Event::WiredToHost(pkt) => self.deliver(pkt),
@@ -767,7 +777,7 @@ impl<'c, O: Observer> Sim<'c, O> {
                     return; // armed by a pre-handoff incarnation
                 }
                 let now = self.now;
-                let mut fx = Vec::new();
+                let mut fx = std::mem::take(&mut self.sender_fx);
                 let fired = match self.flows[flow].tcp_tx.as_mut() {
                     Some(tx) => {
                         let before = tx.stats().2;
@@ -779,7 +789,8 @@ impl<'c, O: Observer> Sim<'c, O> {
                 if fired {
                     self.emit_tcp(flow, TcpPhase::Rto);
                 }
-                self.apply_sender_effects(flow, fx);
+                self.apply_sender_effects(flow, &mut fx);
+                self.sender_fx = fx;
             }
             Event::DelAckFired {
                 flow,
@@ -789,11 +800,12 @@ impl<'c, O: Observer> Sim<'c, O> {
                 if epoch != self.flows[flow].epoch {
                     return;
                 }
-                let fx = match self.flows[flow].tcp_rx.as_mut() {
-                    Some(rx) => rx.on_delack_fired(generation),
-                    None => Vec::new(),
-                };
-                self.apply_receiver_effects(flow, fx);
+                let mut fx = std::mem::take(&mut self.receiver_fx);
+                if let Some(rx) = self.flows[flow].tcp_rx.as_mut() {
+                    rx.on_delack_fired(generation, &mut fx);
+                }
+                self.apply_receiver_effects(flow, &mut fx);
+                self.receiver_fx = fx;
             }
             Event::SchedTick => {
                 if self.pending_wake.is_some_and(|w| w <= self.now) {
@@ -839,14 +851,27 @@ impl<'c, O: Observer> Sim<'c, O> {
         }
     }
 
-    fn apply_mac_effects(&mut self, effects: Vec<MacEffect>) {
+    /// Runs `f` against the MAC with the reusable effect buffer, then
+    /// applies what it wrote. The buffer stays out of `self` for the
+    /// whole application, so a nested call — the client-cooperation
+    /// `set_defer` inside [`Sim::on_tx_final`] — takes an empty buffer
+    /// of its own and cannot disturb the batch being applied.
+    fn with_mac(&mut self, f: impl FnOnce(&mut DcfWorld, &mut Vec<MacEffect>)) {
+        let mut fx = std::mem::take(&mut self.mac_fx);
+        f(&mut self.mac, &mut fx);
+        self.apply_mac_effects(&mut fx);
+        self.mac_fx = fx;
+    }
+
+    /// Applies and drains `effects`.
+    fn apply_mac_effects(&mut self, effects: &mut Vec<MacEffect>) {
         if self.obs.active() {
             // One collision record per busy period: the MAC reports a
             // colliding attempt for each involved station in the same
             // effects batch.
             let mut stations = 0u64;
             let mut max_air = SimDuration::ZERO;
-            for e in &effects {
+            for e in effects.iter() {
                 if let MacEffect::Attempt {
                     collision: true,
                     airtime,
@@ -865,7 +890,7 @@ impl<'c, O: Observer> Sim<'c, O> {
                 });
             }
         }
-        for e in effects {
+        for e in effects.drain(..) {
             match e {
                 MacEffect::Schedule { at, event } => self.queue.schedule(at, Event::Mac(event)),
                 MacEffect::BackoffDrawn { node, slots, cw } => {
@@ -1048,8 +1073,8 @@ impl<'c, O: Observer> Sim<'c, O> {
                 if tokens < 0.0 && rate > 0.0 {
                     let wait_ns = (-tokens / rate) as u64;
                     let until = self.now + SimDuration::from_nanos(wait_ns);
-                    let fx = self.mac.set_defer(self.now, NodeId(node), until);
-                    self.apply_mac_effects(fx);
+                    let now = self.now;
+                    self.with_mac(|mac, fx| mac.set_defer(now, NodeId(node), until, fx));
                 }
             }
         }
@@ -1078,21 +1103,23 @@ impl<'c, O: Observer> Sim<'c, O> {
         match pkt.kind {
             PacketKind::TcpData { seq } => {
                 let now = self.now;
-                let fx = match self.flows[flow].tcp_rx.as_mut() {
-                    Some(rx) => rx.on_data(now, seq),
-                    None => Vec::new(),
-                };
+                let mut fx = std::mem::take(&mut self.receiver_fx);
+                if let Some(rx) = self.flows[flow].tcp_rx.as_mut() {
+                    rx.on_data(now, seq, &mut fx);
+                }
                 self.meter_tcp_goodput(flow);
-                self.apply_receiver_effects(flow, fx);
+                self.apply_receiver_effects(flow, &mut fx);
+                self.receiver_fx = fx;
             }
             PacketKind::TcpAck { ack_seq } => {
                 let now = self.now;
-                let mut fx = Vec::new();
+                let mut fx = std::mem::take(&mut self.sender_fx);
                 if let Some(tx) = self.flows[flow].tcp_tx.as_mut() {
                     tx.on_ack(now, ack_seq, &mut fx);
                 }
                 self.emit_tcp(flow, TcpPhase::Ack);
-                self.apply_sender_effects(flow, fx);
+                self.apply_sender_effects(flow, &mut fx);
+                self.sender_fx = fx;
             }
             PacketKind::UdpData { .. } => {
                 let now = self.now;
@@ -1114,8 +1141,9 @@ impl<'c, O: Observer> Sim<'c, O> {
         }
     }
 
-    fn apply_sender_effects(&mut self, flow: usize, effects: Vec<SenderEffect>) {
-        for e in effects {
+    /// Applies and drains `effects`.
+    fn apply_sender_effects(&mut self, flow: usize, effects: &mut Vec<SenderEffect>) {
+        for e in effects.drain(..) {
             match e {
                 SenderEffect::ArmRto { at, generation } => {
                     let epoch = self.flows[flow].epoch;
@@ -1137,8 +1165,9 @@ impl<'c, O: Observer> Sim<'c, O> {
         }
     }
 
-    fn apply_receiver_effects(&mut self, flow: usize, effects: Vec<ReceiverEffect>) {
-        for e in effects {
+    /// Applies and drains `effects`.
+    fn apply_receiver_effects(&mut self, flow: usize, effects: &mut Vec<ReceiverEffect>) {
+        for e in effects.drain(..) {
             match e {
                 ReceiverEffect::SendAck { ack_seq } => {
                     let f = &self.flows[flow];
@@ -1206,7 +1235,7 @@ impl<'c, O: Observer> Sim<'c, O> {
     fn pump_tcp_uplink(&mut self, flow: usize) {
         let node = self.flows[flow].station + 1;
         let now = self.now;
-        let mut fx = Vec::new();
+        let mut fx = std::mem::take(&mut self.sender_fx);
         let mut pushed = false;
         while self.client_q[node].len() < self.cfg.client_queue_cap {
             let pkt = match self.flows[flow].tcp_tx.as_mut() {
@@ -1224,7 +1253,8 @@ impl<'c, O: Observer> Sim<'c, O> {
         if pushed {
             self.emit_client_queue(node);
         }
-        self.apply_sender_effects(flow, fx);
+        self.apply_sender_effects(flow, &mut fx);
+        self.sender_fx = fx;
         if let Some(at) = self.flows[flow]
             .tcp_tx
             .as_ref()
@@ -1236,7 +1266,7 @@ impl<'c, O: Observer> Sim<'c, O> {
 
     fn pump_tcp_downlink(&mut self, flow: usize) {
         let now = self.now;
-        let mut fx = Vec::new();
+        let mut fx = std::mem::take(&mut self.sender_fx);
         loop {
             let pkt = match self.flows[flow].tcp_tx.as_mut() {
                 Some(tx) => tx.poll_packet(now, &mut fx),
@@ -1250,7 +1280,8 @@ impl<'c, O: Observer> Sim<'c, O> {
                 None => break,
             }
         }
-        self.apply_sender_effects(flow, fx);
+        self.apply_sender_effects(flow, &mut fx);
+        self.sender_fx = fx;
         if let Some(at) = self.flows[flow]
             .tcp_tx
             .as_ref()
@@ -1370,11 +1401,8 @@ impl<'c, O: Observer> Sim<'c, O> {
                     rate: self.rate_of(node),
                     handle: q.handle,
                 };
-                let fx = self
-                    .mac
-                    .offer_frame(self.now, frame)
-                    .expect("AP MAC was idle");
-                self.apply_mac_effects(fx);
+                let now = self.now;
+                self.with_mac(|mac, fx| mac.offer_frame(now, frame, fx).expect("AP MAC was idle"));
             }
         }
         // Clients: head of interface queue.
@@ -1403,11 +1431,11 @@ impl<'c, O: Observer> Sim<'c, O> {
                         rate: self.rate_of(node),
                         handle,
                     };
-                    let fx = self
-                        .mac
-                        .offer_frame(self.now, frame)
-                        .expect("client MAC was idle");
-                    self.apply_mac_effects(fx);
+                    let now = self.now;
+                    self.with_mac(|mac, fx| {
+                        mac.offer_frame(now, frame, fx)
+                            .expect("client MAC was idle")
+                    });
                 }
             }
         }
@@ -1805,8 +1833,8 @@ impl<'c, O: Observer> CellSim<'c, O> {
     pub fn defer_all(&mut self, now: SimTime, until: SimTime) {
         self.sim.now = now;
         for node in 0..self.sim.client_q.len() {
-            let fx = self.sim.mac.set_defer(now, NodeId(node), until);
-            self.sim.apply_mac_effects(fx);
+            self.sim
+                .with_mac(|mac, fx| mac.set_defer(now, NodeId(node), until, fx));
         }
     }
 

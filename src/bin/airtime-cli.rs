@@ -1011,6 +1011,16 @@ fn cmd_inspect(a: &Args) -> Result<(), String> {
         return Ok(());
     }
     let summary = airtime::obs::summarize_file(p).map_err(|e| format!("reading {path}: {e}"))?;
+    if summary.total == 0 {
+        // Nothing parsed at all: this is not a trace, so say where it
+        // first went wrong instead of summarising zero records.
+        if let Some((line, msg)) = &summary.first_malformed {
+            return Err(format!(
+                "{path}:{line}: {msg} (no record parsed from {} non-blank lines)",
+                summary.malformed
+            ));
+        }
+    }
     print!("{summary}");
     Ok(())
 }

@@ -272,6 +272,7 @@ mod tcp_delivery {
         let mut done = false;
         let mut sent = 0usize;
         let mut sfx = Vec::new();
+        let mut rfx = Vec::new();
         macro_rules! pump {
             () => {
                 while let Some(p) = tx.poll_packet(now, &mut sfx) {
@@ -303,7 +304,8 @@ mod tcp_delivery {
             now = t;
             match ev {
                 Ev::Data(seq) => {
-                    for e in rx.on_data(now, seq) {
+                    rx.on_data(now, seq, &mut rfx);
+                    for e in rfx.drain(..) {
                         match e {
                             ReceiverEffect::SendAck { ack_seq } => {
                                 q.schedule(now + delay, Ev::Ack(ack_seq));
@@ -323,7 +325,8 @@ mod tcp_delivery {
                     pump!();
                 }
                 Ev::DelAck(generation) => {
-                    for e in rx.on_delack_fired(generation) {
+                    rx.on_delack_fired(generation, &mut rfx);
+                    for e in rfx.drain(..) {
                         if let ReceiverEffect::SendAck { ack_seq } = e {
                             q.schedule(now + delay, Ev::Ack(ack_seq));
                         }
