@@ -199,7 +199,7 @@ pub fn family_names() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use airtime_sim::SimTime;
+    use airtime_sim::{SimDuration, SimTime};
 
     #[test]
     fn registry_round_trips_through_kind() {
@@ -242,6 +242,97 @@ mod tests {
                 now,
             );
             assert!(s.backlog() > 0);
+        }
+    }
+
+    #[test]
+    fn every_family_keeps_the_queue_contract() {
+        // Three clients offered more than any family's buffer budget,
+        // then one disassociation and a full drain. A model of what was
+        // accepted checks every answer the embedder relies on.
+        let airtime = SimDuration::from_micros(1617);
+        for fam in FAMILIES {
+            let name = fam.name;
+            let mut s = SchedulerKind::from_family(name).unwrap().build();
+            let mut now = SimTime::ZERO;
+            let clients = [ClientId(0), ClientId(1), ClientId(2)];
+            for &c in &clients {
+                s.on_associate(c, now);
+            }
+            // Token families may hold a backlog while nothing is eligible.
+            let token_family = s.token_balance_ns(ClientId(0)).is_some();
+            let shared_queue = name == "fifo";
+            let check_lengths = |s: &dyn ApScheduler| {
+                let lens: Vec<usize> = clients.iter().map(|&c| s.queue_len(c)).collect();
+                if shared_queue {
+                    assert!(lens.iter().all(|&l| l == s.backlog()), "{name}: {lens:?}");
+                } else {
+                    assert_eq!(s.backlog(), lens.iter().sum::<usize>(), "{name}");
+                }
+            };
+
+            let mut buffered: Vec<Vec<u64>> = vec![Vec::new(); clients.len()];
+            let mut rejected = 0;
+            for h in 0..150u64 {
+                let c = (h % 3) as usize;
+                let pkt = QueuedPacket {
+                    client: clients[c],
+                    handle: h,
+                    bytes: 1500,
+                };
+                match s.enqueue(pkt, now) {
+                    EnqueueOutcome::Accepted => buffered[c].push(h),
+                    EnqueueOutcome::Dropped => rejected += 1,
+                }
+            }
+            assert!(rejected > 0, "{name}: 150 packets fit the buffer");
+            assert_eq!(s.drops(), rejected, "{name}: drops vs rejections");
+            check_lengths(s.as_ref());
+
+            let before = s.backlog();
+            let mut flushed: Vec<u64> = s
+                .on_disassociate(clients[1], now)
+                .iter()
+                .map(|p| {
+                    assert_eq!(p.client, clients[1], "{name}: flushed a stranger");
+                    p.handle
+                })
+                .collect();
+            flushed.sort_unstable();
+            assert_eq!(flushed, buffered[1], "{name}: flushed packets");
+            assert_eq!(s.backlog(), before - flushed.len(), "{name}: backlog");
+            buffered[1].clear();
+            check_lengths(s.as_ref());
+
+            for _ in 0..10_000 {
+                if s.backlog() == 0 {
+                    break;
+                }
+                let eligible = s.has_eligible(now);
+                let got = s.dequeue(now);
+                if !token_family {
+                    assert_eq!(eligible, got.is_some(), "{name}: has_eligible");
+                }
+                match got {
+                    Some(p) => {
+                        let model = &mut buffered[p.client.index()];
+                        let at = model.iter().position(|&h| h == p.handle);
+                        model.remove(at.expect("dequeued a packet never accepted"));
+                        now += airtime;
+                        s.on_complete(p.client, airtime, true, now);
+                    }
+                    None => {
+                        // Blocked on tokens: let the refill timer run.
+                        now += s.tick_period().expect("a blocked family ticks");
+                        s.on_tick(now);
+                    }
+                }
+                check_lengths(s.as_ref());
+            }
+            assert_eq!(s.backlog(), 0, "{name}: drain stalled");
+            assert!(buffered.iter().all(Vec::is_empty), "{name}: lost packets");
+            assert!(!s.has_eligible(now), "{name}: eligible when empty");
+            assert!(s.dequeue(now).is_none(), "{name}: dequeued from nothing");
         }
     }
 

@@ -173,7 +173,9 @@ impl MaxMinScheduler {
         for (i, s) in self.states.iter().enumerate() {
             let rate = s.rate.max(1.0);
             w.rates.push(rate);
-            w.weights.push(if s.active { s.weight } else { 0.0 });
+            // A departed slot has zero demand, so its (positive) weight
+            // never binds; a zero weight would fail the waterfill.
+            w.weights.push(s.weight);
             // Saturated demand: a backlogged client wants all the rate
             // its link can carry; the water level trims it.
             let backlogged = s.active && !self.pool.queues[i].is_empty();

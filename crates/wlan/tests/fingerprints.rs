@@ -3,7 +3,8 @@
 //! The flight recorder folds every run's canonical causal stream into
 //! a 64-bit fingerprint that is invariant across queue backends and
 //! tick modes. These tests pin the fingerprints of the four shortened
-//! figure/table presets: any behavioral change to the simulator — new
+//! figure/table presets, and of every scheduler family on the
+//! fig9-class cell: any behavioral change to the simulator — new
 //! event ordering, different scheduler decisions, a changed RNG draw —
 //! moves a fingerprint and must consciously update the golden here.
 //! (`crates/scenario/tests/verify.rs` pins the multi-cell roaming
@@ -29,7 +30,8 @@ fn shorten(mut cfg: NetworkConfig) -> NetworkConfig {
     cfg
 }
 
-/// The four headline presets with their pinned fingerprints.
+/// The headline presets and the fig9-class family rows with their
+/// pinned fingerprints.
 ///
 /// To regenerate after an intentional behavioral change:
 ///     cargo test -p airtime-wlan --test fingerprints -- --nocapture
@@ -64,6 +66,26 @@ fn goldens() -> Vec<(&'static str, NetworkConfig, &'static str)> {
                 SchedulerKind::tbr(),
             )),
             "29d665a86663910d",
+        ),
+        // The remaining baseline families on the same fig9-class cell, so
+        // every registry family is pinned.
+        (
+            "fig9/tcp_down/drr",
+            shorten(scenarios::tcp_stations(
+                &[B11, B1],
+                Direction::Downlink,
+                SchedulerKind::Drr,
+            )),
+            "0e81dbf8f965c061",
+        ),
+        (
+            "fig9/tcp_down/txop",
+            shorten(scenarios::tcp_stations(
+                &[B11, B1],
+                Direction::Downlink,
+                SchedulerKind::txop(),
+            )),
+            "02357c444c4c545d",
         ),
         // The two scheduler-zoo contenders on the same fig9-class cell:
         // both are tick-free, so backend/tick-mode invariance holds by
