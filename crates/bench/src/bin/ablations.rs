@@ -4,8 +4,8 @@
 //! `cargo run -p airtime-bench --bin ablations --release`.
 
 use airtime_bench::{mbps, measure_quick, pct, Output};
-use airtime_core::TbrConfig;
 use airtime_phy::DataRate;
+use airtime_sched::TbrConfig;
 use airtime_sim::SimDuration;
 use airtime_wlan::{scenarios, SchedulerKind};
 

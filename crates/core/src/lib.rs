@@ -1,52 +1,44 @@
-//! Time-based fairness for multi-rate WLANs.
+//! The AP scheduler contract and the queue core every family shares.
 //!
-//! This crate is the reproduction of the paper's primary contribution:
-//! **TBR, the Time-based Regulator** (§4), an AP-side packet regulator
-//! that gives each competing client an equal (or weighted) share of
-//! *channel occupancy time* instead of an equal share of throughput.
+//! The paper's primary contribution, **TBR, the Time-based Regulator**
+//! (§4), is one packet-release policy over per-client AP queues; the
+//! throughput-fair baselines it is compared against, and the zoo's
+//! contenders, are others over the same queues. This crate holds what
+//! they have in common, independent of the MAC simulator:
 //!
-//! The crate is deliberately independent of the MAC simulator: TBR is a
-//! pure state machine driven by the paper's five event handlers
-//! (associate / fill / app-tx / mac-tx / complete) plus the periodic
-//! rate-adjustment event, exactly as it would be embedded in a real AP
-//! driver (the authors patched the Linux HostAP driver; `airtime-wlan`
-//! embeds the same object into the simulated AP).
+//! - [`ApScheduler`] — the one trait every discipline implements, with
+//!   the paper's event hooks (associate / app-tx / mac-tx / complete /
+//!   fill) and the [`ClientId`], [`QueuedPacket`] and
+//!   [`EnqueueOutcome`] types it speaks;
+//! - [`QueuePool`] — per-client drop-tail queues sharing one buffer
+//!   budget (§4.4), with the [`BufferPolicy`] (drop-tail or RED) of
+//!   [`buffer`];
+//! - [`fairness`] — the measurement helpers (airtime/throughput gaps,
+//!   Jain index, reference max-min allocation, airtime waterfilling).
 //!
-//! Alongside TBR, [`scheduler`] provides the throughput-fair baselines
-//! the paper compares against — the plain shared FIFO of a stock AP, a
-//! per-client round-robin, and Deficit Round Robin (their citation \[24\])
-//! — all behind one [`ApScheduler`] trait so experiments can swap the
-//! discipline with one line. [`fairness`] has the measurement helpers
-//! (airtime/throughput gaps, Jain index, reference max-min allocation).
+//! The families themselves — FIFO, RR, DRR, TBR, TXOP, PF and max-min —
+//! live in `airtime-sched`, next to the registry that names them.
 //!
 //! # Examples
 //!
 //! ```
-//! use airtime_core::{ApScheduler, ClientId, QueuedPacket, TbrConfig, TbrScheduler};
-//! use airtime_sim::{SimDuration, SimTime};
+//! use airtime_core::{ClientId, EnqueueOutcome, QueuePool, QueuedPacket};
 //!
-//! let mut tbr = TbrScheduler::new(TbrConfig::default());
-//! let now = SimTime::ZERO;
-//! tbr.on_associate(ClientId(0), now);
-//! tbr.on_associate(ClientId(1), now);
-//! tbr.enqueue(QueuedPacket { client: ClientId(0), handle: 7, bytes: 1500 }, now);
-//! let pkt = tbr.dequeue(now).expect("tokens start positive");
-//! assert_eq!(pkt.handle, 7);
-//! // The MAC reports how much channel time the exchange consumed:
-//! tbr.on_complete(ClientId(0), SimDuration::from_micros(1617), true, now);
+//! // A 4-packet budget split over two clients: 2 packets each.
+//! let mut pool = QueuePool::new(4);
+//! pool.add_client(ClientId(0));
+//! pool.add_client(ClientId(1));
+//! let pkt = |handle| QueuedPacket { client: ClientId(0), handle, bytes: 1500 };
+//! assert_eq!(pool.enqueue(pkt(1)), EnqueueOutcome::Accepted);
+//! assert_eq!(pool.enqueue(pkt(2)), EnqueueOutcome::Accepted);
+//! assert_eq!(pool.enqueue(pkt(3)), EnqueueOutcome::Dropped);
+//! assert_eq!((pool.backlog(), pool.drops()), (2, 1));
 //! ```
 
 pub mod buffer;
 pub mod fairness;
 pub mod scheduler;
-pub mod tbr;
-pub mod txop;
 
 pub use buffer::{BufferPolicy, RedConfig};
 pub use fairness::{airtime_shares, max_min_allocation, throughput_gap, waterfill_airtime};
-pub use scheduler::{
-    ApScheduler, ClientId, DrrScheduler, EnqueueOutcome, FifoScheduler, QueuePool, QueuedPacket,
-    RoundRobinScheduler,
-};
-pub use tbr::{TbrConfig, TbrScheduler};
-pub use txop::{TxopConfig, TxopScheduler};
+pub use scheduler::{ApScheduler, ClientId, EnqueueOutcome, QueuePool, QueuedPacket};

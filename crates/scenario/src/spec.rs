@@ -79,9 +79,8 @@
 //! y_ft = [10.0, 10.0]
 //! ```
 
-use airtime_core::{TbrConfig, TxopConfig};
 use airtime_phy::{DataRate, RateSet, Wall};
-use airtime_sched::{MaxMinConfig, PfConfig};
+use airtime_sched::{MaxMinConfig, PfConfig, TbrConfig, TxopConfig};
 use airtime_sim::{SimDuration, SimTime};
 use airtime_topo::{CellSpec, Placement, Point, RatePolicy, TopologyConfig, WaypointPath};
 use airtime_wlan::{

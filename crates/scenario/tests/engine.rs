@@ -5,10 +5,10 @@
 
 use std::path::{Path, PathBuf};
 
-use airtime_core::TbrConfig;
 use airtime_phy::DataRate;
 use airtime_scenario::toml::Value;
 use airtime_scenario::{compile, emit, expand, load, run_sweep, run_sweep_text, CheckOutcome};
+use airtime_sched::TbrConfig;
 use airtime_sim::SimDuration;
 use airtime_wlan::{scenarios, Direction, NetworkConfig, SchedulerKind, Transport};
 

@@ -5,11 +5,11 @@
 //! space. This crate turns the AP scheduler into a first-class
 //! subsystem so contenders can be compared side by side:
 //!
-//! - [`ApScheduler`] — the one trait every discipline implements (from
-//!   `airtime-core`): the paper's event hooks (associate / enqueue /
-//!   select / on-tx-complete / tick coalescing) plus defaulted weighted
-//!   association and token-state introspection, so embedders never
-//!   downcast to a concrete type.
+//! - [`ApScheduler`](airtime_core::ApScheduler) — the one trait every
+//!   discipline implements (from `airtime-core`): the paper's event
+//!   hooks (associate / enqueue / select / on-tx-complete / tick
+//!   coalescing) plus defaulted weighted association and token-state
+//!   introspection, so embedders never downcast to a concrete type.
 //! - [`SchedulerKind`] — plain-data configuration naming a family and
 //!   its tunables; [`SchedulerKind::build`] constructs the boxed
 //!   discipline.
@@ -17,9 +17,14 @@
 //!   scenario compiler, the CLI, the tournament runner and the bench
 //!   binaries (one list, no drift).
 //!
-//! The baseline families (FIFO / round-robin / DRR / TBR / TXOP) are
-//! re-exported from `airtime-core`; this crate adds two contenders from
-//! the literature retrieved in PAPERS.md:
+//! Every family lives here. The paper's own disciplines:
+//!
+//! - [`FifoScheduler`], [`RoundRobinScheduler`], [`DrrScheduler`] — the
+//!   throughput-fair baselines ([`baseline`]);
+//! - [`TbrScheduler`] — the Time-based Regulator ([`tbr`]);
+//! - [`TxopScheduler`] — 802.11e-style channel-time grants ([`txop`]).
+//!
+//! And two contenders from the literature retrieved in PAPERS.md:
 //!
 //! - [`PfScheduler`] — proportional fair (Patras et al.; the classic
 //!   cellular argmax of `instantaneous rate / β-EWMA average rate`).
@@ -31,18 +36,18 @@
 //! event hook, so dense and coalesced tick modes are trivially
 //! bit-identical and the determinism contract holds by construction.
 
+pub mod baseline;
 pub mod maxmin;
 pub mod pf;
+pub mod tbr;
+pub mod txop;
 
-// Re-export the abstraction and the baseline implementations so
-// embedders depend on one scheduler crate.
-pub use airtime_core::{
-    ApScheduler, BufferPolicy, ClientId, DrrScheduler, EnqueueOutcome, FifoScheduler, QueuePool,
-    QueuedPacket, RedConfig, RoundRobinScheduler, TbrConfig, TbrScheduler, TxopConfig,
-    TxopScheduler,
-};
+use airtime_core::ApScheduler;
+pub use baseline::{DrrScheduler, FifoScheduler, RoundRobinScheduler};
 pub use maxmin::{MaxMinConfig, MaxMinScheduler};
 pub use pf::{PfConfig, PfScheduler};
+pub use tbr::{TbrConfig, TbrScheduler};
+pub use txop::{TxopConfig, TxopScheduler};
 
 /// Which queue discipline the AP's transmit path runs — plain data; two
 /// runs of the same kind are bit-identical.
@@ -199,6 +204,7 @@ pub fn family_names() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use airtime_core::{ClientId, EnqueueOutcome, QueuedPacket};
     use airtime_sim::{SimDuration, SimTime};
 
     #[test]

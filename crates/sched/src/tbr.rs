@@ -35,8 +35,7 @@
 
 use airtime_sim::{SimDuration, SimTime};
 
-use crate::buffer::BufferPolicy;
-use crate::scheduler::{ApScheduler, ClientId, EnqueueOutcome, QueuePool, QueuedPacket};
+use airtime_core::{ApScheduler, BufferPolicy, ClientId, EnqueueOutcome, QueuePool, QueuedPacket};
 
 /// Tunables for [`TbrScheduler`].
 #[derive(Clone, Copy, Debug)]
@@ -575,7 +574,7 @@ impl ApScheduler for TbrScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::RoundRobinScheduler;
+    use crate::baseline::RoundRobinScheduler;
 
     const AIRTIME_11M: SimDuration = SimDuration::from_micros(1617); // 1500 B at 11 Mbit/s
     const AIRTIME_1M: SimDuration = SimDuration::from_micros(12_854); // 1500 B at 1 Mbit/s
@@ -663,7 +662,7 @@ mod tests {
             &[AIRTIME_11M, AIRTIME_1M],
             SimDuration::from_secs(30),
         );
-        let shares = crate::fairness::airtime_shares(&airtime);
+        let shares = airtime_core::airtime_shares(&airtime);
         assert!(
             (shares[0] - 0.5).abs() < 0.03,
             "airtime share {shares:?} should be ~50/50"
@@ -770,7 +769,7 @@ mod tests {
         );
         let pr = packets[0] as f64 / packets[1] as f64;
         assert!((0.95..1.05).contains(&pr), "packet ratio {pr}");
-        let shares = crate::fairness::airtime_shares(&airtime);
+        let shares = airtime_core::airtime_shares(&airtime);
         assert!(
             shares[1] > 0.85,
             "slow client should hog airtime: {shares:?}"

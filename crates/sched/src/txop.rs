@@ -20,8 +20,7 @@
 
 use airtime_sim::{SimDuration, SimTime};
 
-use crate::buffer::BufferPolicy;
-use crate::scheduler::{ApScheduler, ClientId, EnqueueOutcome, QueuePool, QueuedPacket};
+use airtime_core::{ApScheduler, BufferPolicy, ClientId, EnqueueOutcome, QueuePool, QueuedPacket};
 
 /// Configuration for [`TxopScheduler`].
 #[derive(Clone, Copy, Debug)]

@@ -15,7 +15,7 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use airtime_core::{ClientId, EnqueueOutcome, QueuedPacket};
+use airtime_core::{ApScheduler, ClientId, EnqueueOutcome, QueuedPacket};
 use airtime_mac::{
     DcfConfig, DcfWorld, Frame, FrameOutcome, MacEffect, MacEvent, NodeId, SliceKind,
 };
@@ -28,7 +28,6 @@ use airtime_obs::{
     NullObserver, Observer, QueueSite, RunPhase, TcpPhase, TokenCause,
 };
 use airtime_phy::{Arf, DataRate, LinkErrorModel};
-use airtime_sched::ApScheduler;
 use airtime_sim::{
     AnyQueue, Histogram, LoopProfiler, RateMeter, SimDuration, SimRng, SimTime, Timeline,
 };

@@ -408,7 +408,8 @@ fn txop_grants_equal_airtime_downlink() {
 fn tbr_with_red_buffering_still_time_fair() {
     // §4.1: TBR works with any buffering scheme. Swap drop-tail for
     // RED and check the 1vs11 downlink result still holds.
-    use airtime_core::{BufferPolicy, RedConfig, TbrConfig};
+    use airtime_core::{BufferPolicy, RedConfig};
+    use airtime_sched::TbrConfig;
     let tc = TbrConfig {
         buffer: BufferPolicy::Red(RedConfig::default()),
         ..TbrConfig::default()
@@ -439,7 +440,7 @@ fn short_term_fairness_improves_with_smaller_bucket() {
     // §4.5: the bucket bounds burst length; a smaller bucket gives
     // better short-term airtime fairness. Measured with the Koksal-
     // style windowed Jain index over the frame trace.
-    use airtime_core::TbrConfig;
+    use airtime_sched::TbrConfig;
     use airtime_sim::SimDuration as D;
     // The measurement window must exceed the burst a large bucket can
     // produce (a 300 ms bucket lets the 1M node hold ~23 consecutive
@@ -627,7 +628,7 @@ fn hotspot_short_flows_expose_tbr_responsiveness_gap() {
     // reacts, so mean completion time regresses vs a stock AP — and a
     // faster adjustment period recovers part of the gap, which is the
     // paper's proposed direction.
-    use airtime_core::TbrConfig;
+    use airtime_sched::TbrConfig;
     use airtime_sim::SimDuration as D;
     let mk = |sched| {
         scenarios::hotspot_short_flows(

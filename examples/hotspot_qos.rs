@@ -10,7 +10,8 @@
 //! client gets ~2× the throughput of each standard client without any
 //! change to the clients themselves.
 
-use airtime::core::{ApScheduler, ClientId, QueuedPacket, TbrConfig, TbrScheduler};
+use airtime::core::{ApScheduler, ClientId, QueuedPacket};
+use airtime::sched::{TbrConfig, TbrScheduler};
 use airtime::sim::{SimDuration, SimTime};
 
 fn main() {

@@ -4,11 +4,10 @@
 //! arbitrary loss patterns. Inputs come from fixed-seed [`SimRng`]
 //! streams so failures reproduce exactly.
 
-use airtime::core::{
-    max_min_allocation, ApScheduler, ClientId, QueuedPacket, TbrConfig, TbrScheduler,
-};
+use airtime::core::{max_min_allocation, ApScheduler, ClientId, QueuedPacket};
 use airtime::model::{rf_allocation, tf_allocation, NodeSpec};
 use airtime::phy::{DataRate, Phy80211b};
+use airtime::sched::{TbrConfig, TbrScheduler};
 use airtime::sim::stats::jain_index;
 use airtime::sim::{SimDuration, SimRng, SimTime};
 
