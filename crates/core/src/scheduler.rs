@@ -1,6 +1,12 @@
 //! The AP scheduler contract every family implements, and the
 //! per-client queue pool the families share. The families themselves
 //! live in `airtime-sched`.
+//!
+//! A family differs from another only in which packet it releases next
+//! and what service state it keeps; the buffering is common. So
+//! [`ApScheduler`] asks a family for its association, enqueue and
+//! dequeue rules plus its [`QueuePool`], and reads backlog, per-client
+//! queue lengths and drop counts from the pool.
 
 use airtime_sim::{SimDuration, SimRng, SimTime};
 use std::collections::VecDeque;
@@ -57,10 +63,11 @@ pub enum EnqueueOutcome {
 /// FILLEVENT/ADJUSTRATEEVENT → [`on_tick`](ApScheduler::on_tick)
 /// (driven at [`tick_period`](ApScheduler::tick_period)).
 ///
-/// Three defaulted hooks let an embedder drive every discipline
-/// uniformly, without downcasting: weighted association (the §4.5
-/// extension) and token-state introspection for token-regulated
-/// disciplines.
+/// A family supplies only what it varies: association, enqueue and
+/// dequeue, and the [`QueuePool`] its packets wait in. Every other hook
+/// has a default a family overrides only when it behaves differently:
+/// no completion feedback, no timer, eligibility as "anything
+/// buffered", and backlog, queue lengths and drops read from the pool.
 pub trait ApScheduler {
     /// A client joined the cell.
     fn on_associate(&mut self, client: ClientId, now: SimTime);
@@ -89,10 +96,9 @@ pub trait ApScheduler {
     /// close their lifecycles; any per-client service state (token
     /// balance, deficit, grant carry) is dropped — a station that comes
     /// back re-registers from scratch via
-    /// [`on_associate`](ApScheduler::on_associate). Disciplines with
-    /// only shared state keep the client's packets (a stock FIFO cannot
-    /// tell whose packets are whose without scanning; those that can,
-    /// do).
+    /// [`on_associate`](ApScheduler::on_associate). The default keeps
+    /// every packet, as a discipline that cannot tell whose packets are
+    /// whose would.
     fn on_disassociate(&mut self, _client: ClientId, _now: SimTime) -> Vec<QueuedPacket> {
         Vec::new()
     }
@@ -109,18 +115,21 @@ pub trait ApScheduler {
     /// downlink from uplink frames; both debit the same client.
     fn on_complete(
         &mut self,
-        client: ClientId,
-        airtime: SimDuration,
-        sent_by_ap: bool,
-        now: SimTime,
-    );
+        _client: ClientId,
+        _airtime: SimDuration,
+        _sent_by_ap: bool,
+        _now: SimTime,
+    ) {
+    }
 
     /// Periodic maintenance (token refill, rate adjustment).
-    fn on_tick(&mut self, now: SimTime);
+    fn on_tick(&mut self, _now: SimTime) {}
 
     /// How often [`on_tick`](ApScheduler::on_tick) must run; `None` for
     /// disciplines that need no timer.
-    fn tick_period(&self) -> Option<SimDuration>;
+    fn tick_period(&self) -> Option<SimDuration> {
+        None
+    }
 
     /// True when the scheduler replays its periodic `on_tick` work
     /// lazily — catching internal state up on every entry point with
@@ -142,25 +151,33 @@ pub trait ApScheduler {
         None
     }
 
+    /// The queues this discipline's packets wait in.
+    fn pool(&self) -> &QueuePool;
+
     /// Total packets currently buffered.
-    fn backlog(&self) -> usize;
+    fn backlog(&self) -> usize {
+        self.pool().backlog()
+    }
 
     /// Packets currently buffered for `client` (for disciplines with a
     /// single shared queue, the shared occupancy). Lets traffic sources
     /// apply upstream back-pressure instead of blind-feeding a full
     /// buffer.
-    fn queue_len(&self, client: ClientId) -> usize;
+    fn queue_len(&self, client: ClientId) -> usize {
+        let pool = self.pool();
+        pool.slot_of(client).map_or(0, |i| pool.queues[i].len())
+    }
 
     /// True when [`dequeue`](ApScheduler::dequeue) would return a packet.
-    fn has_eligible(&self, now: SimTime) -> bool;
+    fn has_eligible(&self, _now: SimTime) -> bool {
+        self.backlog() > 0
+    }
 
     /// Packets dropped by the buffer policy so far.
-    fn drops(&self) -> u64;
+    fn drops(&self) -> u64 {
+        self.pool().drops()
+    }
 }
-
-// ---------------------------------------------------------------------
-// Per-client queue pool shared by RR / DRR / TBR
-// ---------------------------------------------------------------------
 
 /// Per-client drop-tail queues with a shared total budget, as in the
 /// paper's §4.4: an AP with total buffer x serves n clients with n

@@ -12,8 +12,7 @@
 //! [`crate::TbrScheduler`].
 
 use airtime_core::{ApScheduler, ClientId, EnqueueOutcome, QueuePool, QueuedPacket};
-use airtime_sim::{SimDuration, SimTime};
-use std::collections::VecDeque;
+use airtime_sim::SimTime;
 
 // ---------------------------------------------------------------------
 // FIFO
@@ -23,19 +22,17 @@ use std::collections::VecDeque;
 /// "the kernel interface queue (with the maximum size of 110) is used to
 /// store packets").
 pub struct FifoScheduler {
-    queue: VecDeque<QueuedPacket>,
-    capacity: usize,
-    drops: u64,
+    /// One slot holding every client's packets, with the whole budget.
+    pool: QueuePool,
 }
 
 impl FifoScheduler {
     /// Creates a FIFO with the given packet capacity.
     pub fn new(capacity: usize) -> Self {
-        FifoScheduler {
-            queue: VecDeque::new(),
-            capacity: capacity.max(1),
-            drops: 0,
-        }
+        let mut pool = QueuePool::new(capacity);
+        // The one shared slot; its key is never looked up.
+        pool.add_client(ClientId(0));
+        FifoScheduler { pool }
     }
 }
 
@@ -53,7 +50,7 @@ impl ApScheduler for FifoScheduler {
         // A real kernel interface queue would let these frames age out;
         // scanning them away models the driver flush on DEAUTH.
         let mut flushed = Vec::new();
-        self.queue.retain(|p| {
+        self.pool.queues[0].retain(|p| {
             if p.client == client {
                 flushed.push(*p);
                 false
@@ -65,48 +62,26 @@ impl ApScheduler for FifoScheduler {
     }
 
     fn enqueue(&mut self, pkt: QueuedPacket, _now: SimTime) -> EnqueueOutcome {
-        if self.queue.len() >= self.capacity {
-            self.drops += 1;
+        if self.pool.queues[0].len() >= self.pool.per_queue_cap() {
+            self.pool.note_drop();
             EnqueueOutcome::Dropped
         } else {
-            self.queue.push_back(pkt);
+            self.pool.queues[0].push_back(pkt);
             EnqueueOutcome::Accepted
         }
     }
 
     fn dequeue(&mut self, _now: SimTime) -> Option<QueuedPacket> {
-        self.queue.pop_front()
+        self.pool.queues[0].pop_front()
     }
 
-    fn on_complete(
-        &mut self,
-        _client: ClientId,
-        _airtime: SimDuration,
-        _sent_by_ap: bool,
-        _now: SimTime,
-    ) {
+    fn pool(&self) -> &QueuePool {
+        &self.pool
     }
 
-    fn on_tick(&mut self, _now: SimTime) {}
-
-    fn tick_period(&self) -> Option<SimDuration> {
-        None
-    }
-
-    fn backlog(&self) -> usize {
-        self.queue.len()
-    }
-
+    /// Every client shares the one queue, so each sees its occupancy.
     fn queue_len(&self, _client: ClientId) -> usize {
-        self.queue.len()
-    }
-
-    fn has_eligible(&self, _now: SimTime) -> bool {
-        !self.queue.is_empty()
-    }
-
-    fn drops(&self) -> u64 {
-        self.drops
+        self.backlog()
     }
 }
 
@@ -163,37 +138,8 @@ impl ApScheduler for RoundRobinScheduler {
         None
     }
 
-    fn on_complete(
-        &mut self,
-        _client: ClientId,
-        _airtime: SimDuration,
-        _sent_by_ap: bool,
-        _now: SimTime,
-    ) {
-    }
-
-    fn on_tick(&mut self, _now: SimTime) {}
-
-    fn tick_period(&self) -> Option<SimDuration> {
-        None
-    }
-
-    fn backlog(&self) -> usize {
-        self.pool.backlog()
-    }
-
-    fn queue_len(&self, client: ClientId) -> usize {
-        self.pool
-            .slot_of(client)
-            .map_or(0, |i| self.pool.queues[i].len())
-    }
-
-    fn has_eligible(&self, _now: SimTime) -> bool {
-        self.pool.backlog() > 0
-    }
-
-    fn drops(&self) -> u64 {
-        self.pool.drops()
+    fn pool(&self) -> &QueuePool {
+        &self.pool
     }
 }
 
@@ -341,37 +287,8 @@ impl ApScheduler for DrrScheduler {
         None
     }
 
-    fn on_complete(
-        &mut self,
-        _client: ClientId,
-        _airtime: SimDuration,
-        _sent_by_ap: bool,
-        _now: SimTime,
-    ) {
-    }
-
-    fn on_tick(&mut self, _now: SimTime) {}
-
-    fn tick_period(&self) -> Option<SimDuration> {
-        None
-    }
-
-    fn backlog(&self) -> usize {
-        self.pool.backlog()
-    }
-
-    fn queue_len(&self, client: ClientId) -> usize {
-        self.pool
-            .slot_of(client)
-            .map_or(0, |i| self.pool.queues[i].len())
-    }
-
-    fn has_eligible(&self, _now: SimTime) -> bool {
-        self.pool.backlog() > 0
-    }
-
-    fn drops(&self) -> u64 {
-        self.pool.drops()
+    fn pool(&self) -> &QueuePool {
+        &self.pool
     }
 }
 

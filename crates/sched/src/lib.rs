@@ -111,16 +111,10 @@ impl SchedulerKind {
     /// The default configuration of the named family, or `None` for an
     /// unknown name. The accepted names are exactly [`FAMILIES`].
     pub fn from_family(name: &str) -> Option<Self> {
-        match name {
-            "fifo" => Some(SchedulerKind::Fifo),
-            "rr" => Some(SchedulerKind::RoundRobin),
-            "drr" => Some(SchedulerKind::Drr),
-            "tbr" => Some(SchedulerKind::tbr()),
-            "txop" => Some(SchedulerKind::txop()),
-            "pf" => Some(SchedulerKind::pf()),
-            "maxmin" => Some(SchedulerKind::maxmin()),
-            _ => None,
-        }
+        FAMILIES
+            .iter()
+            .find(|f| f.name == name)
+            .map(|f| (f.default_kind)())
     }
 
     /// Constructs the discipline this kind describes.
@@ -148,6 +142,8 @@ pub struct Family {
     /// throughput) for saturated equal-weight clients — what the
     /// baseline-property check asserts.
     pub time_fair: bool,
+    /// Builds the family's default configuration.
+    pub default_kind: fn() -> SchedulerKind,
 }
 
 /// Every scheduler family, in canonical order. This is the single
@@ -158,36 +154,43 @@ pub const FAMILIES: &[Family] = &[
         name: "fifo",
         summary: "single shared drop-tail queue (stock AP)",
         time_fair: false,
+        default_kind: || SchedulerKind::Fifo,
     },
     Family {
         name: "rr",
         summary: "per-client packet round robin",
         time_fair: false,
+        default_kind: || SchedulerKind::RoundRobin,
     },
     Family {
         name: "drr",
         summary: "deficit round robin, weight-aware byte fairness",
         time_fair: false,
+        default_kind: || SchedulerKind::Drr,
     },
     Family {
         name: "tbr",
         summary: "time-based regulator (the paper's Exp-TBR)",
         time_fair: true,
+        default_kind: SchedulerKind::tbr,
     },
     Family {
         name: "txop",
         summary: "802.11e TXOP-style channel-time grants",
         time_fair: true,
+        default_kind: SchedulerKind::txop,
     },
     Family {
         name: "pf",
         summary: "proportional fair (argmax rate / beta-EWMA average)",
         time_fair: true,
+        default_kind: SchedulerKind::pf,
     },
     Family {
         name: "maxmin",
         summary: "max-min waterfilling over achievable rates",
         time_fair: false,
+        default_kind: SchedulerKind::maxmin,
     },
 ];
 

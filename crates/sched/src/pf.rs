@@ -300,28 +300,8 @@ impl ApScheduler for PfScheduler {
         }
     }
 
-    fn on_tick(&mut self, _now: SimTime) {}
-
-    fn tick_period(&self) -> Option<SimDuration> {
-        None
-    }
-
-    fn backlog(&self) -> usize {
-        self.pool.backlog()
-    }
-
-    fn queue_len(&self, client: ClientId) -> usize {
-        self.pool
-            .slot_of(client)
-            .map_or(0, |i| self.pool.queues[i].len())
-    }
-
-    fn has_eligible(&self, _now: SimTime) -> bool {
-        self.pool.backlog() > 0
-    }
-
-    fn drops(&self) -> u64 {
-        self.pool.drops()
+    fn pool(&self) -> &QueuePool {
+        &self.pool
     }
 }
 

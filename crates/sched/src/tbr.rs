@@ -122,6 +122,25 @@ struct ClientState {
     active: bool,
 }
 
+impl ClientState {
+    /// A client registering from scratch: `tokens` of balance, no rate
+    /// until the next `reset_rates`, no usage history.
+    fn fresh(weight: f64, tokens: f64, now: SimTime) -> Self {
+        ClientState {
+            tokens,
+            rate: 0.0,
+            weight,
+            actual: 0.0,
+            start: now,
+            demand_time: 0.0,
+            backlog_since: None,
+            low_demand_streak: 0,
+            usage_ewma: None,
+            active: true,
+        }
+    }
+}
+
 /// The Time-based Regulator.
 pub struct TbrScheduler {
     config: TbrConfig,
@@ -339,35 +358,16 @@ impl ApScheduler for TbrScheduler {
         // rates and diverge from the dense trajectory.
         self.catch_up(now);
         let slot = self.pool.add_client(client);
+        let fresh = ClientState::fresh(weight, self.config.initial_tokens.as_nanos() as f64, now);
         if slot >= self.states.len() {
-            self.states.push(ClientState {
-                tokens: self.config.initial_tokens.as_nanos() as f64,
-                rate: 0.0,
-                weight,
-                actual: 0.0,
-                start: now,
-                demand_time: 0.0,
-                backlog_since: None,
-                low_demand_streak: 0,
-                usage_ewma: None,
-                active: true,
-            });
+            self.states.push(fresh);
             self.debited.push(0.0);
         } else if !self.states[slot].active {
             // Re-association after a disassociation: the client
             // registers from scratch — fresh initial tokens, no memory
             // of its previous stint (debt was settled by leaving; usage
             // history would poison the adjuster's EWMA).
-            let s = &mut self.states[slot];
-            s.tokens = self.config.initial_tokens.as_nanos() as f64;
-            s.weight = weight;
-            s.actual = 0.0;
-            s.start = now;
-            s.demand_time = 0.0;
-            s.backlog_since = None;
-            s.low_demand_streak = 0;
-            s.usage_ewma = None;
-            s.active = true;
+            self.states[slot] = fresh;
         } else {
             self.states[slot].weight = weight;
         }
@@ -396,15 +396,10 @@ impl ApScheduler for TbrScheduler {
             return Vec::new();
         };
         let flushed = self.pool.flush_client(client);
-        let s = &mut self.states[slot];
-        s.active = false;
-        s.tokens = 0.0;
-        s.rate = 0.0;
-        s.actual = 0.0;
-        s.demand_time = 0.0;
-        s.backlog_since = None;
-        s.low_demand_streak = 0;
-        s.usage_ewma = None;
+        self.states[slot] = ClientState {
+            active: false,
+            ..ClientState::fresh(1.0, 0.0, now)
+        };
         self.reset_rates(now);
         flushed
     }
@@ -548,14 +543,8 @@ impl ApScheduler for TbrScheduler {
         Some(SimTime::from_nanos(k.min(k_adjust).saturating_mul(p)))
     }
 
-    fn backlog(&self) -> usize {
-        self.pool.backlog()
-    }
-
-    fn queue_len(&self, client: ClientId) -> usize {
-        self.pool
-            .slot_of(client)
-            .map_or(0, |i| self.pool.queues[i].len())
+    fn pool(&self) -> &QueuePool {
+        &self.pool
     }
 
     fn has_eligible(&self, _now: SimTime) -> bool {
@@ -564,10 +553,6 @@ impl ApScheduler for TbrScheduler {
         // it; callers that get `true` here but `None` from `dequeue`
         // should retry at the next tick.
         (0..self.pool.len()).any(|i| !self.pool.queues[i].is_empty() && self.states[i].tokens > 0.0)
-    }
-
-    fn drops(&self) -> u64 {
-        self.pool.drops()
     }
 }
 
