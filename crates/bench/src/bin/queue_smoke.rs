@@ -6,8 +6,9 @@
 //! events/sec, and the `sched.tick` dispatch share, then enforces the
 //! PR-4 regression gates:
 //!
-//! 1. all four combinations produce a bit-identical [`Report`] and a
-//!    conserving airtime-ledger audit;
+//! 1. all four combinations produce a bit-identical
+//!    [`Report`](airtime_wlan::Report) and a conserving airtime-ledger
+//!    audit;
 //! 2. tick coalescing cuts `sched.tick` dispatches by at least 2×;
 //! 3. the new default (timer wheel, coalesced ticks) is not slower
 //!    than the old behaviour (binary heap, dense ticks) on this cell

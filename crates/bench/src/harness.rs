@@ -37,7 +37,7 @@ impl Group {
     }
 
     /// Times `f`, auto-calibrating the iteration count to fill roughly
-    /// [`TARGET`] of wall time (minimum 5 iterations).
+    /// 400 ms of wall time (minimum 5 iterations).
     pub fn bench<F: FnMut()>(&mut self, name: &str, mut f: F) {
         // Warm up and estimate the per-iteration cost.
         let warm_start = Instant::now();

@@ -14,7 +14,7 @@
 //! downlink frame to send — belongs entirely to the embedder, which is
 //! exactly where an airtime scheduler slots in. The
 //! `polled_tbr` integration test drives this world from a
-//! [`airtime-core` TBR](../airtime_core/index.html)-style token state
+//! [`airtime-sched` TBR](../airtime_sched/tbr/index.html)-style token state
 //! and demonstrates time-based fairness without DCF.
 //!
 //! Losses: a corrupted data frame is reported as a failed attempt and

@@ -234,6 +234,17 @@ fn duration_millis(e: &Entry) -> Result<SimDuration, CompileError> {
     Ok(SimDuration::from_nanos((ms * 1e6).round() as u64))
 }
 
+/// A period in milliseconds that must be positive: a zero fill period
+/// would never advance TBR's refill grid, and a zero TXOP grant would
+/// never let a frame out.
+fn period_millis(e: &Entry) -> Result<SimDuration, CompileError> {
+    let d = duration_millis(e)?;
+    if d.is_zero() {
+        return err(e.line, format!("key '{}' expects milliseconds > 0", e.key));
+    }
+    Ok(d)
+}
+
 /// Parses a data rate given as a string (`"11"`, `"5.5"`, `"54"`) or a
 /// bare number (`11`, `5.5`).
 pub fn parse_rate(e: &Entry) -> Result<DataRate, CompileError> {
@@ -265,7 +276,7 @@ pub fn parse_rate(e: &Entry) -> Result<DataRate, CompileError> {
 
 /// Maps a bare rate token (`"11"`, `"5.5"`, with or without a trailing
 /// `M`) to its [`DataRate`]; `None` for anything unrecognised.
-pub(crate) fn rate_from_token(tok: &str) -> Option<DataRate> {
+pub fn rate_from_token(tok: &str) -> Option<DataRate> {
     match tok.trim().trim_end_matches('M') {
         "1" => Some(DataRate::B1),
         "2" => Some(DataRate::B2),
@@ -422,7 +433,7 @@ fn compile_scheduler(doc: &Doc) -> Result<SchedulerKind, CompileError> {
         "tbr" => {
             let mut c = TbrConfig::default();
             if let Some(e) = t.get("fill_period_ms") {
-                c.fill_period = duration_millis(e)?;
+                c.fill_period = period_millis(e)?;
             }
             if let Some(e) = t.get("adjust_period_ms") {
                 c.adjust_period = duration_millis(e)?;
@@ -456,7 +467,7 @@ fn compile_scheduler(doc: &Doc) -> Result<SchedulerKind, CompileError> {
         "txop" => {
             let mut c = TxopConfig::default();
             if let Some(e) = t.get("quantum_ms") {
-                c.quantum = duration_millis(e)?;
+                c.quantum = period_millis(e)?;
             }
             if let Some(e) = t.get("total_buffer") {
                 c.total_buffer = want_u64(e)? as usize;
@@ -1448,6 +1459,14 @@ x_ft = 60
                 "at most 86400 seconds",
             ),
             ("[station]\nrate = \"11\"\n", "double brackets"),
+            (
+                "[scheduler]\nfill_period_ms = 0\n[[station]]\nrate = \"11\"\n",
+                "'fill_period_ms' expects milliseconds > 0",
+            ),
+            (
+                "[scheduler]\nkind = \"txop\"\nquantum_ms = 0\n[[station]]\nrate = \"11\"\n",
+                "'quantum_ms' expects milliseconds > 0",
+            ),
             (
                 "[[station]]\nrate = \"11\"\ndistance_ft = 4\n",
                 "conflicts with 'distance_ft'",

@@ -5,7 +5,7 @@
 //! space. This crate turns the AP scheduler into a first-class
 //! subsystem so contenders can be compared side by side:
 //!
-//! - [`ApScheduler`](airtime_core::ApScheduler) — the one trait every
+//! - [`ApScheduler`] — the one trait every
 //!   discipline implements (from `airtime-core`): the paper's event
 //!   hooks (associate / enqueue / select / on-tx-complete / tick
 //!   coalescing) plus defaulted weighted association and token-state

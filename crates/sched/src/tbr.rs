@@ -159,6 +159,10 @@ pub struct TbrScheduler {
 impl TbrScheduler {
     /// Creates an empty regulator.
     pub fn new(config: TbrConfig) -> Self {
+        assert!(
+            !config.fill_period.is_zero(),
+            "fill_period must be positive"
+        );
         TbrScheduler {
             pool: QueuePool::with_policy(config.total_buffer, config.buffer),
             config,

@@ -10,7 +10,7 @@
 //!
 //! - [`EventQueue`]: a binary heap — O(log n) everywhere, the reference
 //!   implementation.
-//! - [`TimerWheel`](crate::wheel::TimerWheel): a hierarchical timer
+//! - [`TimerWheel`]: a hierarchical timer
 //!   wheel — O(1) amortised scheduling for the near future, which is
 //!   where simulation traffic lives.
 //!
@@ -95,7 +95,7 @@ pub trait Timeline<E> {
 pub enum QueueBackend {
     /// The reference `BinaryHeap` queue ([`EventQueue`]).
     Heap,
-    /// The hierarchical timer wheel ([`TimerWheel`](crate::wheel::TimerWheel)).
+    /// The hierarchical timer wheel ([`TimerWheel`]).
     Wheel,
 }
 

@@ -1,5 +1,5 @@
 //! Results of a multi-cell run: per-cell engine reports plus the
-//! roaming metrics the single-cell [`Report`](airtime_wlan::Report)
+//! roaming metrics the single-cell [`Report`]
 //! cannot express — handoffs, association intervals and outage time.
 
 use airtime_sim::{SimDuration, SimTime};

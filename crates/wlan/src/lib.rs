@@ -4,7 +4,7 @@
 //! access point and a set of client stations share a DCF medium
 //! (`airtime-mac`); TCP and UDP flows run across the cell and a wired
 //! backbone (`airtime-net`); and the AP's transmit path runs one of the
-//! pluggable queue disciplines from `airtime-core` — the stock FIFO or
+//! pluggable queue disciplines from `airtime-sched` — the stock FIFO or
 //! round-robin of *Exp-Normal*, or TBR for *Exp-TBR*, switchable with
 //! one config line exactly as the paper switches driver builds.
 //!

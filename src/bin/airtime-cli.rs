@@ -22,6 +22,7 @@ use airtime::obs::{
     JsonlObserver, MetricsRegistry, NullObserver, Observer, Recording, SpanCollector, TeeObserver,
 };
 use airtime::phy::DataRate;
+use airtime::scenario::spec::rate_from_token;
 use airtime::sim::SimDuration;
 use airtime::topo::{run_topology, run_topology_profiled};
 use airtime::wlan::{
@@ -152,31 +153,10 @@ OPTIONS (predict):
     --rates <list>      as above
 ";
 
-fn parse_rate(tok: &str) -> Result<DataRate, String> {
-    Ok(match tok {
-        "1" => DataRate::B1,
-        "2" => DataRate::B2,
-        "5.5" => DataRate::B5_5,
-        "11" => DataRate::B11,
-        "6" => DataRate::G6,
-        "9" => DataRate::G9,
-        "12" => DataRate::G12,
-        "18" => DataRate::G18,
-        "24" => DataRate::G24,
-        "36" => DataRate::G36,
-        "48" => DataRate::G48,
-        "54" => DataRate::G54,
-        other => return Err(format!("unknown rate '{other}'")),
-    })
-}
-
 fn parse_rates(s: &str) -> Result<Vec<DataRate>, String> {
-    let rates: Result<Vec<_>, _> = s.split(',').map(|t| parse_rate(t.trim())).collect();
-    let rates = rates?;
-    if rates.is_empty() {
-        return Err("need at least one rate".into());
-    }
-    Ok(rates)
+    s.split(',')
+        .map(|t| rate_from_token(t).ok_or_else(|| format!("unknown rate '{}'", t.trim())))
+        .collect()
 }
 
 struct Args {
@@ -729,6 +709,15 @@ fn report_json(cfg: &NetworkConfig, labels: &[String], r: &Report) -> String {
     o.finish()
 }
 
+/// `--threads`, or every available core.
+fn worker_threads(a: &Args) -> usize {
+    a.threads.unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
+}
+
 fn cmd_sweep(a: &Args) -> Result<(), String> {
     let path = a
         .positionals
@@ -737,11 +726,7 @@ fn cmd_sweep(a: &Args) -> Result<(), String> {
     let path = std::path::Path::new(path);
     let file = path.display().to_string();
     let doc = airtime::scenario::load(path).map_err(|e| e.to_string())?;
-    let threads = a.threads.unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    });
+    let threads = worker_threads(a);
     let outcome = airtime::scenario::run_sweep(&doc, &file, threads).map_err(|e| e.to_string())?;
 
     let mut out = airtime::bench::Output::new(
@@ -794,11 +779,7 @@ fn cmd_tournament(a: &Args) -> Result<(), String> {
     let path = std::path::Path::new(path);
     let file = path.display().to_string();
     let doc = airtime::scenario::load(path).map_err(|e| e.to_string())?;
-    let threads = a.threads.unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    });
+    let threads = worker_threads(a);
     let outcome =
         airtime::scenario::run_tournament(&doc, &file, threads).map_err(|e| e.to_string())?;
 

@@ -15,15 +15,15 @@
 //! | [`phy`] | `airtime-phy` | 802.11b/g rates, frame airtime math, path loss, BER, ARF/AARF |
 //! | [`mac`] | `airtime-mac` | DCF CSMA/CA, collisions, retries, airtime accounting |
 //! | [`net`] | `airtime-net` | ack-clocked TCP Reno/NewReno, UDP, rate limiting |
-//! | [`core`] | `airtime-core` | the `ApScheduler` trait, **TBR**, FIFO/RR/DRR baselines, fairness metrics |
-//! | [`sched`] | `airtime-sched` | scheduler family registry, PF and max-min |
+//! | [`core`] | `airtime-core` | the `ApScheduler` contract, per-client queue pool, buffer policies, fairness metrics |
+//! | [`sched`] | `airtime-sched` | every scheduler family (**TBR**, FIFO/RR/DRR, TXOP, PF, max-min) and the family registry |
 //! | [`model`] | `airtime-model` | Equations 4–13, γ models, Bianchi, task model |
 //! | [`trace`] | `airtime-trace` | trace synthesis + Figure 1/5 analyses |
 //! | [`wlan`] | `airtime-wlan` | the integrated experiment engine and scenarios |
 //! | [`obs`] | `airtime-obs` | structured event tracing, metrics registry, JSONL/CSV tools |
 //! | [`topo`] | `airtime-topo` | multi-cell topologies: AP placement, mobility, association/handoff |
 //! | [`scenario`] | `airtime-scenario` | declarative scenario files, sweeps, parallel execution |
-//! | [`bench`] | `airtime-bench` | paper table/figure binaries and their shared output sink |
+//! | [`bench`](mod@bench) | `airtime-bench` | paper table/figure binaries and their shared output sink |
 //!
 //! # Quickstart
 //!

@@ -1,8 +1,10 @@
 //! Hostile input to `airtime-cli` — out-of-range numbers, a "trace"
-//! with no parseable record — ends in a diagnostic and a non-zero exit,
-//! never a panic, an unbounded run or a silent empty summary.
+//! with no parseable record, a zero TBR fill period — ends in a
+//! diagnostic and a non-zero exit, never a panic, an unbounded run or a
+//! silent empty summary.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 
 #[test]
 fn out_of_range_secs_are_rejected_without_panicking() {
@@ -22,6 +24,43 @@ fn out_of_range_secs_are_rejected_without_panicking() {
         );
         assert!(stderr.contains("bad --secs"), "--secs {secs}: {stderr}");
     }
+}
+
+#[test]
+fn zero_tbr_fill_period_is_rejected_without_hanging() {
+    // A zero fill period never advances TBR's refill grid; the scenario
+    // compiler must refuse it instead of running forever.
+    let dir = std::env::temp_dir().join(format!("airtime-cli-fill-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("zero_fill.toml");
+    std::fs::write(
+        &path,
+        "duration_s = 3\nwarmup_s = 1\n[scheduler]\nkind = \"tbr\"\nfill_period_ms = 0\n\
+         [[station]]\nrate = \"11\"\n",
+    )
+    .expect("write scenario");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_airtime-cli"))
+        .args(["run", "--scenario"])
+        .arg(&path)
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("airtime-cli runs");
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while child.try_wait().expect("poll airtime-cli").is_none() {
+        if Instant::now() > deadline {
+            let _ = child.kill();
+            panic!("airtime-cli still running after 60 s");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let out = child.wait_with_output().expect("airtime-cli output");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "exited 0: {stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(stderr.contains("zero_fill.toml:5: "), "{stderr}");
+    assert!(stderr.contains("fill_period_ms"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
