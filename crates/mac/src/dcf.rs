@@ -64,10 +64,12 @@ pub enum MacEvent {
     },
     /// End of the current medium-busy period.
     TxEnd,
-    /// A station's TBR-style transmission deferral has expired.
+    /// A transmission deferral has expired.
     DeferExpired {
-        /// The station whose defer timer fired.
-        node: NodeId,
+        /// The station whose [`DcfWorld::set_defer`] timer fired, or
+        /// `None` for the one timer of a cell-wide
+        /// [`DcfWorld::defer_all`] window.
+        node: Option<NodeId>,
     },
 }
 
@@ -348,7 +350,7 @@ impl DcfWorld {
         if self.stations[idx].pending.is_some() {
             return Err(frame);
         }
-        let medium_busy = self.busy_until.is_some_and(|t| now < t);
+        let medium_busy = self.is_busy(now);
         let needs_backoff = self.stations[idx].backoff.is_none();
         if needs_backoff {
             // No carried post-transmission backoff: immediate access when
@@ -403,8 +405,44 @@ impl DcfWorld {
         self.stations[node.index()].defer_until = Some(until);
         effects.push(MacEffect::Schedule {
             at: until,
-            event: MacEvent::DeferExpired { node },
+            event: MacEvent::DeferExpired { node: Some(node) },
         });
+        self.reschedule_access(now, effects);
+    }
+
+    /// Forbids every station from starting new transmissions until
+    /// `until` — how a multi-cell driver imposes a co-channel
+    /// neighbour's busy period. Leaves every station and the countdown
+    /// exactly as calling [`DcfWorld::set_defer`] for each node in
+    /// index order would, but appends one expiry timer for the whole
+    /// window (none when no station's defer grows) and no access
+    /// resolution: with everybody deferred, nobody contends.
+    pub fn defer_all(&mut self, now: SimTime, until: SimTime, effects: &mut Vec<MacEffect>) {
+        if until <= now {
+            return;
+        }
+        let extends = |st: &Station| st.defer_until.is_none_or(|t| t < until);
+        let Some(first) = self.stations.iter().position(extends) else {
+            return;
+        };
+        // The per-node loop reschedules after each new defer. Only its
+        // first round can still see a contender — anyone but `first` —
+        // and when it does it credits the countdown slots elapsed since
+        // `anchor` before the later rounds stop the countdown.
+        let credit = !self.is_busy(now)
+            && (0..self.stations.len()).any(|i| i != first && self.is_contender(i, now));
+        for st in &mut self.stations {
+            if extends(st) {
+                st.defer_until = Some(until);
+            }
+        }
+        effects.push(MacEffect::Schedule {
+            at: until,
+            event: MacEvent::DeferExpired { node: None },
+        });
+        if credit {
+            self.advance_countdown(now);
+        }
         self.reschedule_access(now, effects);
     }
 
@@ -417,10 +455,25 @@ impl DcfWorld {
                 }
             }
             MacEvent::TxEnd => self.on_tx_end(now, effects),
-            MacEvent::DeferExpired { node } => {
+            MacEvent::DeferExpired { node: Some(node) } => {
                 let st = &mut self.stations[node.index()];
                 if st.defer_until.is_some_and(|t| t <= now) {
                     st.defer_until = None;
+                    self.reschedule_access(now, effects);
+                }
+            }
+            MacEvent::DeferExpired { node: None } => {
+                // An expired defer no longer blocks contention at `now`
+                // (see `is_contender`), so clearing them all and
+                // rescheduling once ends where one timer per node would.
+                let mut cleared = false;
+                for st in &mut self.stations {
+                    if st.defer_until.is_some_and(|t| t <= now) {
+                        st.defer_until = None;
+                        cleared = true;
+                    }
+                }
+                if cleared {
                     self.reschedule_access(now, effects);
                 }
             }
@@ -451,9 +504,13 @@ impl DcfWorld {
         self.config.phy.slot
     }
 
+    fn is_busy(&self, now: SimTime) -> bool {
+        self.busy_until.is_some_and(|t| now < t)
+    }
+
     /// Recomputes and schedules the next contention-resolution point.
     fn reschedule_access(&mut self, now: SimTime, effects: &mut Vec<MacEffect>) {
-        if self.busy_until.is_some_and(|t| now < t) {
+        if self.is_busy(now) {
             return; // TxEnd will reschedule.
         }
         self.generation += 1; // Invalidate any previously scheduled access.
@@ -462,6 +519,25 @@ impl DcfWorld {
             self.contention_since = None;
             return;
         }
+        self.advance_countdown(now);
+        let slot = self.slot();
+        let min_b = (0..self.stations.len())
+            .filter(|&i| self.is_contender(i, now))
+            .map(|i| self.stations[i].backoff.unwrap_or(0))
+            .min()
+            .expect("a contender exists");
+        effects.push(MacEffect::Schedule {
+            at: self.anchor + slot * min_b as u64,
+            event: MacEvent::AccessResolved {
+                generation: self.generation,
+            },
+        });
+    }
+
+    /// Moves the countdown to the next slot boundary at or after `now`:
+    /// starts it there, or credits every carried backoff with the slots
+    /// elapsed since `anchor`. Idempotent for a fixed `now`.
+    fn advance_countdown(&mut self, now: SimTime) {
         if self.contention_since.is_none() {
             self.contention_since = Some(now);
         }
@@ -486,17 +562,6 @@ impl DcfWorld {
             self.anchor = new_anchor;
             self.countdown_active = true;
         }
-        let min_b = (0..self.stations.len())
-            .filter(|&i| self.is_contender(i, now))
-            .map(|i| self.stations[i].backoff.unwrap_or(0))
-            .min()
-            .expect("a contender exists");
-        effects.push(MacEffect::Schedule {
-            at: self.anchor + slot * min_b as u64,
-            event: MacEvent::AccessResolved {
-                generation: self.generation,
-            },
-        });
     }
 
     /// Contention resolved: the minimum countdown expired at `now`.

@@ -1090,8 +1090,16 @@ pub fn compile(doc: &Doc) -> Result<ScenarioSpec, CompileError> {
         cfg.warmup = duration_secs(e)?;
     }
     if cfg.warmup >= cfg.duration {
-        let line = doc.get("warmup_s").map(|e| e.line).unwrap_or(1);
-        return err(line, "warmup_s must be smaller than duration_s");
+        return match (doc.get("warmup_s"), doc.get("duration_s")) {
+            (Some(e), _) => err(e.line, "warmup_s must be smaller than duration_s"),
+            (None, d) => err(
+                d.map_or(1, |e| e.line),
+                format!(
+                    "duration_s must exceed the default warm-up of {} s (or set warmup_s)",
+                    cfg.warmup.as_secs_f64()
+                ),
+            ),
+        };
     }
     if let Some(e) = doc.get("wired_delay_ms") {
         cfg.wired_delay = duration_millis(e)?;
@@ -1442,6 +1450,10 @@ x_ft = 60
                 "warmup_s must be smaller",
             ),
             (
+                "duration_s = 2\n[[station]]\nrate = \"11\"\n",
+                "duration_s must exceed the default warm-up of 3 s",
+            ),
+            (
                 "[[station]]\nrate = \"11\"\nfer = 1.5\n",
                 "fraction in [0, 1)",
             ),
@@ -1478,5 +1490,8 @@ x_ft = 60
         }
         let e = compile_text("").unwrap_err();
         assert!(e.msg.contains("no [[station]]"), "{e}");
+        // An omitted warm-up is blamed on the duration that it outlasts.
+        let e = compile_text("seed = 1\nduration_s = 3\n[[station]]\nrate = \"11\"\n").unwrap_err();
+        assert_eq!(e.line, 2, "{e}");
     }
 }

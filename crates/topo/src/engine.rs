@@ -13,10 +13,13 @@
 //!   busy, the driver mirrors the busy window into every other cell on
 //!   the same channel as a defer (`CellSim::defer_all`), so co-channel
 //!   cells contend for one shared medium while distinct channels run
-//!   as independent DCF domains. Exchanges *starting* in the same
-//!   slot in two co-channel cells do not collide with each other —
-//!   the mirror is one event behind — a deliberate simplification
-//!   over a full shared-medium model.
+//!   as independent DCF domains. Each window is mirrored once per
+//!   neighbour and costs that neighbour one cell-wide MAC defer: a
+//!   single expiry timer, whatever the station count, and no access
+//!   resolution (nobody in a deferred cell contends). Exchanges
+//!   *starting* in the same slot in two co-channel cells do not
+//!   collide with each other — the mirror is one event behind — a
+//!   deliberate simplification over a full shared-medium model.
 //! - **Roaming.** On a fixed management tick the driver moves mobile
 //!   stations along their waypoint paths, refreshes their path-loss
 //!   links, and applies the RSSI/hysteresis association policy:

@@ -1827,14 +1827,13 @@ impl<'c, O: Observer> CellSim<'c, O> {
 
     /// Imposes an external busy window on every node of this cell —
     /// co-channel carrier sense: a same-channel neighbour's exchange
-    /// defers this whole cell until it ends. Extending an existing
-    /// window is cheap; shrinking is impossible by design.
+    /// defers this whole cell until it ends. One MAC call per window
+    /// ([`DcfWorld::defer_all`]): it arms a single expiry timer for the
+    /// whole cell, and none when every node is already deferred at
+    /// least that long. Shrinking a window is impossible by design.
     pub fn defer_all(&mut self, now: SimTime, until: SimTime) {
         self.sim.now = now;
-        for node in 0..self.sim.client_q.len() {
-            self.sim
-                .with_mac(|mac, fx| mac.set_defer(now, NodeId(node), until, fx));
-        }
+        self.sim.with_mac(|mac, fx| mac.defer_all(now, until, fx));
     }
 
     /// Cumulative goodput bytes delivered to/from `station` across all
@@ -1868,7 +1867,9 @@ mod tests {
         let variants = [
             Event::Mac(MacEvent::AccessResolved { generation: 0 }),
             Event::Mac(MacEvent::TxEnd),
-            Event::Mac(MacEvent::DeferExpired { node: NodeId(1) }),
+            Event::Mac(MacEvent::DeferExpired {
+                node: Some(NodeId(1)),
+            }),
             Event::WiredToAp(pkt),
             Event::WiredToHost(pkt),
             Event::RtoFired {
