@@ -289,6 +289,45 @@ pub fn summarize_file(path: &Path) -> std::io::Result<InspectSummary> {
     }
 }
 
+/// How the lines of a JSONL trace parsed, from [`scan_file`].
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct TraceScan {
+    /// Records that parsed.
+    pub records: u64,
+    /// Non-blank lines that failed to parse (skipped).
+    pub malformed: u64,
+    /// 1-based line number and parse error of the first malformed
+    /// line, if any.
+    pub first_malformed: Option<(u64, String)>,
+}
+
+/// Streams every parseable record of a JSONL trace on disk into `f`,
+/// counting the lines that fail to parse instead of stopping at them.
+/// This is how `inspect --spans` and `--audit` rebuild a
+/// [`crate::SpanCollector`] or [`crate::AirtimeLedger`] from a trace.
+pub fn scan_file(path: &Path, mut f: impl FnMut(&EventRecord)) -> std::io::Result<TraceScan> {
+    let reader = BufReader::new(File::open(path)?);
+    let mut scan = TraceScan::default();
+    for (i, line) in reader.lines().enumerate() {
+        let line = line?;
+        let line = line.trim();
+        if line.is_empty() {
+            continue;
+        }
+        match parse_line(line) {
+            Ok(rec) => {
+                scan.records += 1;
+                f(&rec);
+            }
+            Err(e) => {
+                scan.malformed += 1;
+                scan.first_malformed.get_or_insert((i as u64 + 1, e));
+            }
+        }
+    }
+    Ok(scan)
+}
+
 impl fmt::Display for InspectSummary {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "records: {}", self.total)?;

@@ -26,17 +26,15 @@
 //!
 //! [`AirtimeLedger`] implements [`Observer`], so it can sit directly
 //! on a live run (`airtime-cli run --ledger`), and it can equally be
-//! rebuilt from a JSONL trace on disk ([`AirtimeLedger::from_file`]).
+//! rebuilt from a JSONL trace on disk (feed it through
+//! [`crate::inspect::scan_file`]).
 
 use std::fmt;
-use std::fs::File;
-use std::io::{BufRead, BufReader};
-use std::path::Path;
 
 use airtime_sim::{SimDuration, SimTime};
 
 use crate::csv::Csv;
-use crate::event::{parse_line, AirtimeCategory, EventRecord, RunPhase};
+use crate::event::{AirtimeCategory, EventRecord, RunPhase};
 use crate::observer::Observer;
 
 /// Conservation slack: Σ slices must match the audited window within
@@ -88,6 +86,20 @@ impl AirtimeLedger {
     /// An empty ledger.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Forgets everything accumulated, keeping the per-station buffers
+    /// for the next run.
+    pub fn reset(&mut self) {
+        let mut station_cat_ns = std::mem::take(&mut self.station_cat_ns);
+        let mut occupancy_ns = std::mem::take(&mut self.occupancy_ns);
+        station_cat_ns.clear();
+        occupancy_ns.clear();
+        *self = AirtimeLedger {
+            station_cat_ns,
+            occupancy_ns,
+            ..AirtimeLedger::default()
+        };
     }
 
     /// Feeds one record. Only `airtime_slice`, `tx_attempt`, and
@@ -164,20 +176,6 @@ impl AirtimeLedger {
             self.station_cat_ns.resize(i + 1, [0; NCAT]);
         }
         self.station_cat_ns[i][cat_index(cat)] += counted_ns;
-    }
-
-    /// Rebuilds a ledger from a JSONL trace on disk (malformed lines
-    /// are skipped, matching `inspect`'s tolerance).
-    pub fn from_file(path: &Path) -> std::io::Result<Self> {
-        let reader = BufReader::new(File::open(path)?);
-        let mut ledger = AirtimeLedger::new();
-        for line in reader.lines() {
-            let line = line?;
-            if let Ok(rec) = parse_line(line.trim()) {
-                ledger.record(&rec);
-            }
-        }
-        Ok(ledger)
     }
 
     /// Slices accumulated.

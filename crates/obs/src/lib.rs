@@ -29,12 +29,13 @@ pub mod metrics;
 pub mod observer;
 pub mod prof;
 pub mod recorder;
+mod slots;
 pub mod spans;
 
 pub use event::{
     parse_line, AirtimeCategory, EventRecord, MacPhase, QueueSite, RunPhase, TcpPhase, TokenCause,
 };
-pub use inspect::{summarize, summarize_file, InspectSummary};
+pub use inspect::{scan_file, summarize, summarize_file, InspectSummary, TraceScan};
 pub use ledger::{AirtimeLedger, AuditReport, AUDIT_TOLERANCE_NS, CELL};
 pub use metrics::{CounterId, GaugeId, HistId, MetricsRegistry};
 pub use observer::{JsonlObserver, MemoryObserver, NullObserver, Observer, TeeObserver};

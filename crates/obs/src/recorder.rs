@@ -19,10 +19,17 @@
 //! surprise without unbounded memory), or — with [`FlightRecorder::
 //! with_window`] — retains exactly one index window for divergence
 //! re-runs. Fingerprinting itself never allocates per event: the
-//! detail text is written into one reused buffer and hashed in place,
-//! and an owned copy is made only when the ring retains the event. At
-//! capacity 0 the recorder allocates only for checkpoints (one per
-//! interval) and a station's first sub-fingerprint.
+//! detail text is written with integer writes into one reused buffer
+//! and hashed in place, and an owned copy is made only when the ring
+//! retains the event. The FNV-1a state after each label and its `0xff`
+//! separator is a constant per `&'static str` label, so an inline
+//! direct-mapped cache keyed on the label's exact `(pointer, length)`
+//! hands it back instead of re-hashing the label on every event. At
+//! capacity 0 the recorder allocates only when a buffer outgrows every
+//! earlier run's: the checkpoint list (one entry per interval), the
+//! per-station sub-fingerprint slots, and the detail buffer.
+//! [`FlightRecorder::reset`] keeps all three, so a recorder reused
+//! across runs stops allocating once it has seen the largest.
 //!
 //! Per-station sub-fingerprints (folded from scheduler decisions and
 //! handoffs touching that station) localize a divergence to *who* as
@@ -53,9 +60,10 @@ use std::fmt::Write as _;
 
 use airtime_sim::SimTime;
 
-use crate::event::EventRecord;
+use crate::event::{EventRecord, QueueSite};
 use crate::json::{parse_flat, Obj, Value};
 use crate::observer::Observer;
+use crate::slots::StationSlots;
 
 /// FNV-1a 64-bit offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -81,6 +89,53 @@ fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
 /// Order-sensitive fold of one event hash into a rolling fingerprint.
 fn fold(fp: u64, h: u64) -> u64 {
     (fp ^ h).wrapping_mul(FNV_PRIME)
+}
+
+/// The FNV-1a state after `label` and the `0xff` separator: the prefix
+/// every event hash starts from.
+fn label_prefix(label: &str) -> u64 {
+    fnv1a(fnv1a(FNV_OFFSET, label.as_bytes()), &[0xff])
+}
+
+/// log2 of the label-prefix cache's slot count.
+const PREFIX_BITS: u32 = 6;
+
+/// One label-prefix cache entry. The empty entry's null pointer is
+/// never a label's.
+#[derive(Clone, Copy, Debug, Default)]
+struct PrefixEntry {
+    ptr: usize,
+    len: usize,
+    h: u64,
+}
+
+/// The cache slot of a label, from its exact `(pointer, length)`.
+fn prefix_slot(label: &str) -> usize {
+    let key = label.as_ptr() as usize as u64 ^ (label.len() as u64).rotate_left(32);
+    (key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - PREFIX_BITS)) as usize
+}
+
+/// Appends `v` in decimal, the bytes `write!(s, "{v}")` produces.
+fn push_u64(s: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    s.extend(digits[i..].iter().map(|&d| d as char));
+}
+
+/// `site=` plus the site's derived `Debug` name.
+fn site_field(site: QueueSite) -> &'static str {
+    match site {
+        QueueSite::Ap => "site=Ap",
+        QueueSite::Client => "site=Client",
+    }
 }
 
 /// Formats a fingerprint the way every surface prints it: 16 lowercase
@@ -171,12 +226,17 @@ pub struct FlightRecorder {
     /// When set, only events with `index` in `[a, b)` enter the ring
     /// (fingerprinting still covers the whole stream).
     window: Option<(u64, u64)>,
-    station_fp: BTreeMap<u64, u64>,
+    station_slots: StationSlots,
+    /// Sub-fingerprint per station slot; `None` until the station's
+    /// first event since the last reset.
+    station_fp: Vec<Option<u64>>,
     /// Test hook: perturb the record at this stream index before
     /// folding, manufacturing a deterministic synthetic divergence.
     inject_at: Option<u64>,
     /// Reused buffer the hooks format an event's detail into.
     scratch: String,
+    /// Direct-mapped label-prefix cache (see the module docs).
+    prefixes: [PrefixEntry; 1 << PREFIX_BITS],
 }
 
 impl Default for FlightRecorder {
@@ -200,10 +260,25 @@ impl FlightRecorder {
             capacity: DEFAULT_RING_CAPACITY,
             dropped: 0,
             window: None,
-            station_fp: BTreeMap::new(),
+            station_slots: StationSlots::default(),
+            station_fp: Vec::new(),
             inject_at: None,
             scratch: String::new(),
+            prefixes: [PrefixEntry::default(); 1 << PREFIX_BITS],
         }
+    }
+
+    /// Forgets the recorded stream — fingerprint, checkpoints, ring,
+    /// sub-fingerprints — for a new run. The configuration (interval,
+    /// capacity, window, cell, injection point) and every buffer stay.
+    pub fn reset(&mut self) {
+        self.events = 0;
+        self.fp = FNV_OFFSET;
+        self.last_t = SimTime::ZERO;
+        self.checkpoints.clear();
+        self.ring.clear();
+        self.dropped = 0;
+        self.station_fp.iter_mut().for_each(|s| *s = None);
     }
 
     /// Sets the checkpoint interval (events per checkpoint; min 1).
@@ -277,8 +352,29 @@ impl FlightRecorder {
 
     /// Per-station sub-fingerprints (folded from scheduler decisions,
     /// queue changes, and handoffs attributed to each station).
-    pub fn station_fingerprints(&self) -> &BTreeMap<u64, u64> {
-        &self.station_fp
+    pub fn station_fingerprints(&self) -> BTreeMap<u64, u64> {
+        self.station_slots
+            .ids()
+            .iter()
+            .zip(&self.station_fp)
+            .filter_map(|(&s, fp)| fp.map(|fp| (s, fp)))
+            .collect()
+    }
+
+    /// [`label_prefix`] of `label`, from the cache when it holds it.
+    /// Exact because a `&'static str` never changes: equal
+    /// `(pointer, length)` means equal bytes.
+    fn prefix(&mut self, label: &'static str) -> u64 {
+        let e = &mut self.prefixes[prefix_slot(label)];
+        let key = (label.as_ptr() as usize, label.len());
+        if (e.ptr, e.len) != key {
+            *e = PrefixEntry {
+                ptr: key.0,
+                len: key.1,
+                h: label_prefix(label),
+            };
+        }
+        e.h
     }
 
     /// Folds one canonical event into the stream, with the detail text
@@ -291,7 +387,7 @@ impl FlightRecorder {
         &mut self,
         t: SimTime,
         mut seq: u64,
-        label: &str,
+        label: &'static str,
         station: Option<u64>,
         detail: impl FnOnce(&mut String),
     ) {
@@ -304,15 +400,18 @@ impl FlightRecorder {
             seq = seq.wrapping_add(1);
             text.push_str(" [injected]");
         }
-        let mut h = fnv1a(FNV_OFFSET, label.as_bytes());
-        h = fnv1a(h, &[0xff]);
+        let mut h = self.prefix(label);
         h = fnv1a(h, &t.as_nanos().to_le_bytes());
         h = fnv1a(h, text.as_bytes());
         h = fnv1a(h, &station.unwrap_or(u64::MAX).to_le_bytes());
         self.fp = fold(self.fp, h);
         if let Some(s) = station {
-            let sfp = self.station_fp.entry(s).or_insert(FNV_OFFSET);
-            *sfp = fold(*sfp, h);
+            let (slot, new) = self.station_slots.slot(s);
+            if new {
+                self.station_fp.push(None);
+            }
+            let sfp = &mut self.station_fp[slot];
+            *sfp = Some(fold(sfp.unwrap_or(FNV_OFFSET), h));
         }
         let retain = match self.window {
             Some((a, b)) => self.events >= a && self.events < b,
@@ -414,7 +513,12 @@ impl Observer for FlightRecorder {
         } = rec
         {
             self.push(t, 0, "sched.decide", Some(client), |d| {
-                let _ = write!(d, "client={client} bytes={bytes} qlen={queue_len}");
+                d.push_str("client=");
+                push_u64(d, client);
+                d.push_str(" bytes=");
+                push_u64(d, bytes);
+                d.push_str(" qlen=");
+                push_u64(d, queue_len);
             });
         }
     }
@@ -422,7 +526,11 @@ impl Observer for FlightRecorder {
     fn on_queue_change(&mut self, rec: EventRecord) {
         if let EventRecord::QueueChange { t, site, key, len } = rec {
             self.push(t, 0, "queue.change", Some(key), |d| {
-                let _ = write!(d, "site={site:?} key={key} len={len}");
+                d.push_str(site_field(site));
+                d.push_str(" key=");
+                push_u64(d, key);
+                d.push_str(" len=");
+                push_u64(d, len);
             });
         }
     }
@@ -432,9 +540,7 @@ impl Observer for FlightRecorder {
             for (key, cell) in [("from=", from), (" to=", to)] {
                 d.push_str(key);
                 match cell {
-                    Some(c) => {
-                        let _ = write!(d, "{c}");
-                    }
+                    Some(c) => push_u64(d, c),
                     None => d.push('-'),
                 }
             }
@@ -772,5 +878,172 @@ mod tests {
             first_divergent_checkpoint(a.checkpoints(), b.checkpoints()),
             Some(3)
         );
+    }
+
+    /// The fold as it was before label prefixes were cached and detail
+    /// text written by hand: every event re-hashes its label, details
+    /// go through `write!`, sub-fingerprints live in a map.
+    struct Reference {
+        events: u64,
+        fp: u64,
+        checkpoints: Vec<Checkpoint>,
+        station_fp: BTreeMap<u64, u64>,
+    }
+
+    impl Reference {
+        fn new() -> Self {
+            Reference {
+                events: 0,
+                fp: FNV_OFFSET,
+                checkpoints: Vec::new(),
+                station_fp: BTreeMap::new(),
+            }
+        }
+
+        fn push(&mut self, t: SimTime, label: &str, station: Option<u64>, detail: String) {
+            let mut h = fnv1a(FNV_OFFSET, label.as_bytes());
+            h = fnv1a(h, &[0xff]);
+            h = fnv1a(h, &t.as_nanos().to_le_bytes());
+            h = fnv1a(h, detail.as_bytes());
+            h = fnv1a(h, &station.unwrap_or(u64::MAX).to_le_bytes());
+            self.fp = fold(self.fp, h);
+            if let Some(s) = station {
+                let sfp = self.station_fp.entry(s).or_insert(FNV_OFFSET);
+                *sfp = fold(*sfp, h);
+            }
+            self.events += 1;
+            if self.events.is_multiple_of(7) {
+                self.checkpoints.push(Checkpoint {
+                    events: self.events,
+                    t,
+                    fp: self.fp,
+                });
+            }
+        }
+    }
+
+    /// Leaked labels, so they are `&'static str` like dispatch labels.
+    fn leak(s: String) -> &'static str {
+        Box::leak(s.into_boxed_str())
+    }
+
+    /// Labels for the random streams: a label that is a byte prefix of
+    /// another *at the same address* and in the same cache slot (only
+    /// the length tells them apart), two more labels that share a cache
+    /// slot, and the recorder's own labels.
+    fn labels() -> Vec<&'static str> {
+        let (long, short) = (0..)
+            .find_map(|i| {
+                let long = leak(format!("mac.tx_end.{i}"));
+                (1..long.len())
+                    .map(|k| &long[..k])
+                    .find(|short| prefix_slot(short) == prefix_slot(long))
+                    .map(|short| (long, short))
+            })
+            .unwrap();
+        assert_eq!(long.as_ptr(), short.as_ptr());
+        let mut by_slot: Vec<Option<&'static str>> = vec![None; 1 << PREFIX_BITS];
+        let mut clash = None;
+        for i in 0.. {
+            let l = leak(format!("lbl.{i}"));
+            match by_slot[prefix_slot(l)] {
+                Some(other) => {
+                    clash = Some((other, l));
+                    break;
+                }
+                None => by_slot[prefix_slot(l)] = Some(l),
+            }
+        }
+        let (a, b) = clash.unwrap();
+        assert_eq!(prefix_slot(a), prefix_slot(b));
+        vec![long, short, a, b, "sched.decide", "handoff", "sched.tick"]
+    }
+
+    #[test]
+    fn cached_prefix_fold_equals_the_uncached_reference() {
+        let labels = labels();
+        let mut rng = airtime_sim::SimRng::new(11);
+        let mut reused = FlightRecorder::new().with_capacity(0).with_interval(7);
+        for _ in 0..100 {
+            let mut reference = Reference::new();
+            reused.reset();
+            let mut fresh = FlightRecorder::new().with_capacity(0).with_interval(7);
+            let n = rng.below(300);
+            for i in 0..n {
+                let t = SimTime::from_nanos(i * 1000 + rng.below(3));
+                let station = [0, 1, 2, 40, u64::MAX][rng.below(5) as usize];
+                let value = match rng.below(3) {
+                    0 => rng.below(10),
+                    1 => rng.below(1 << 20),
+                    _ => u64::MAX - rng.below(3),
+                };
+                let site = if rng.chance(0.5) {
+                    QueueSite::Ap
+                } else {
+                    QueueSite::Client
+                };
+                for rec in [&mut reused, &mut fresh] {
+                    match i % 4 {
+                        0 => rec.on_sched_decision(EventRecord::SchedDecision {
+                            t,
+                            client: station,
+                            bytes: value,
+                            queue_len: i,
+                        }),
+                        1 => rec.on_queue_change(EventRecord::QueueChange {
+                            t,
+                            site,
+                            key: station,
+                            len: value,
+                        }),
+                        2 => rec.on_handoff(t, station, Some(value), None),
+                        _ => rec.on_dispatch(t, i, labels[(value % 7) as usize]),
+                    }
+                }
+                match i % 4 {
+                    0 => reference.push(
+                        t,
+                        "sched.decide",
+                        Some(station),
+                        format!("client={station} bytes={value} qlen={i}"),
+                    ),
+                    1 => reference.push(
+                        t,
+                        "queue.change",
+                        Some(station),
+                        format!("site={site:?} key={station} len={value}"),
+                    ),
+                    2 => reference.push(t, "handoff", Some(station), format!("from={value} to=-")),
+                    _ if labels[(value % 7) as usize] == "sched.tick" => {}
+                    _ => reference.push(t, labels[(value % 7) as usize], None, String::new()),
+                }
+            }
+            for rec in [&reused, &fresh] {
+                assert_eq!(rec.events(), reference.events);
+                assert_eq!(rec.fingerprint(), reference.fp);
+                assert_eq!(rec.checkpoints(), reference.checkpoints.as_slice());
+                assert_eq!(rec.station_fingerprints(), reference.station_fp);
+            }
+        }
+    }
+
+    #[test]
+    fn hand_written_details_match_the_formatter() {
+        let mut rng = airtime_sim::SimRng::new(3);
+        let values = (0..64).map(|i| match i {
+            0 => 0,
+            1 => u64::MAX,
+            2 => 9,
+            3 => 10,
+            _ => rng.below(u64::MAX) >> rng.below(64),
+        });
+        for v in values {
+            let mut s = String::from("x");
+            push_u64(&mut s, v);
+            assert_eq!(s, format!("x{v}"));
+        }
+        for site in [QueueSite::Ap, QueueSite::Client] {
+            assert_eq!(site_field(site), format!("site={site:?}"));
+        }
     }
 }

@@ -19,8 +19,9 @@
 //!    wrapping a `wlan::NetworkConfig`
 //! 3. [`sweep`] — expand `[sweep]` axes into [`sweep::Job`]s (row-major
 //!    in axis declaration order)
-//! 4. [`pool`] — execute jobs in parallel; results land in matrix
-//!    order regardless of completion order
+//! 4. [`pool`] — execute jobs in parallel under each worker's reused
+//!    observation [`rig`]; results land in matrix order regardless of
+//!    completion order
 //! 5. [`aggregate`] — reduce each `Report` to a [`aggregate::Cell`]
 //! 6. [`emit`] — render the matrix as JSON/CSV
 //!
@@ -38,6 +39,7 @@
 pub mod aggregate;
 pub mod emit;
 pub mod pool;
+pub mod rig;
 pub mod spec;
 pub mod sweep;
 pub mod toml;
@@ -49,11 +51,12 @@ use std::path::Path;
 
 pub use aggregate::{Cell, CellStation, CheckOutcome, RoamSummary};
 pub use pool::PoolStats;
+pub use rig::Rig;
 pub use spec::{CheckProperty, CheckSpec, ScenarioSpec, MAX_DURATION_S};
 pub use sweep::{Axis, Job};
 pub use tournament::{
-    run_tournament, run_tournament_text, TournamentOutcome, TournamentRow, TournamentSpec,
-    TournamentStation,
+    run_tournament, run_tournament_job, run_tournament_text, TournamentOutcome, TournamentRow,
+    TournamentSpec, TournamentStation,
 };
 pub use verify::{verify_determinism, Divergence, VerifyOptions, VerifyOutcome};
 
@@ -157,6 +160,37 @@ pub fn combine_fps(fps: impl Iterator<Item = u64>) -> u64 {
     fps.fold(FNV_OFFSET, |acc, fp| (acc ^ fp).wrapping_mul(FNV_PRIME))
 }
 
+/// Runs one sweep job under `rig`'s observers and aggregates it into
+/// its cell. Every cell carries the flight recorder's fingerprint, so
+/// the 1-vs-N-thread comparisons localize.
+pub fn run_sweep_job(rig: &mut Rig, job: &Job) -> Cell {
+    match &job.spec.topo {
+        None => {
+            let (report, delays, fp) = rig.run_cell(&job.spec.cfg);
+            let mut cell =
+                aggregate::aggregate(job.index, job.coords.clone(), &job.spec, &report, &delays);
+            cell.fp = Some(airtime_obs::fp_hex(fp));
+            cell
+        }
+        Some(topo) => {
+            // One lane per radio cell: the ledgers audit each cell's
+            // own timeline, the recorder lanes give per-cell
+            // sub-fingerprints.
+            let (tr, lanes) = rig.run_topology(topo);
+            let mut cell = aggregate::aggregate_topology(
+                job.index,
+                job.coords.clone(),
+                &job.spec,
+                &tr,
+                &lanes.delays,
+                &lanes.audits,
+            );
+            cell.fp = Some(airtime_obs::fp_hex(lanes.fp));
+            cell
+        }
+    }
+}
+
 /// Expands and executes a parsed document on `threads` workers.
 pub fn run_sweep(
     doc: &toml::Doc,
@@ -169,65 +203,8 @@ pub fn run_sweep(
         .map(|j| j.spec.name.clone())
         .unwrap_or_else(|| "scenario".to_string());
     let strict = jobs.first().map(|j| j.spec.check.strict).unwrap_or(false);
-    let (cells, stats) = pool::run_parallel(&jobs, threads, |_, job| {
-        // Collect frame-lifecycle spans alongside the run: observation
-        // is effect-only (the RNG stream is untouched), so observed
-        // sweeps stay byte-identical to unobserved ones. A capacity-0
-        // flight recorder rides along too — pure fingerprinting, no
-        // event retention — so every sweep cell carries a determinism
-        // fingerprint and the 1-vs-N-thread comparisons localize.
-        match &job.spec.topo {
-            None => {
-                let mut obs = airtime_obs::TeeObserver::new(
-                    airtime_obs::SpanCollector::new(),
-                    airtime_obs::FlightRecorder::new().with_capacity(0),
-                );
-                let report = airtime_wlan::run_observed(&job.spec.cfg, &mut obs);
-                let mut cell = aggregate::aggregate(
-                    job.index,
-                    job.coords.clone(),
-                    &job.spec,
-                    &report,
-                    &obs.a.summary(),
-                );
-                cell.fp = Some(airtime_obs::fp_hex(obs.b.fingerprint()));
-                cell
-            }
-            Some(topo) => {
-                // One span collector, one airtime ledger, and one
-                // flight-recorder lane per radio cell; the ledgers
-                // audit each cell's own timeline, the recorder lanes
-                // give per-cell sub-fingerprints.
-                let mut obs: Vec<_> = (0..topo.cells.len())
-                    .map(|c| {
-                        airtime_obs::TeeObserver::new(
-                            airtime_obs::TeeObserver::new(
-                                airtime_obs::SpanCollector::new(),
-                                airtime_obs::AirtimeLedger::new(),
-                            ),
-                            airtime_obs::FlightRecorder::new()
-                                .with_capacity(0)
-                                .for_cell(c as u64),
-                        )
-                    })
-                    .collect();
-                let tr = airtime_topo::run_topology(topo, &mut obs);
-                let delays: Vec<_> = obs.iter().map(|o| o.a.a.summary()).collect();
-                let audits: Vec<_> = obs.iter().map(|o| o.a.b.audit()).collect();
-                let mut cell = aggregate::aggregate_topology(
-                    job.index,
-                    job.coords.clone(),
-                    &job.spec,
-                    &tr,
-                    &delays,
-                    &audits,
-                );
-                cell.fp = Some(airtime_obs::fp_hex(combine_fps(
-                    obs.iter().map(|o| o.b.fingerprint()),
-                )));
-                cell
-            }
-        }
+    let (cells, stats) = pool::run_parallel(&jobs, threads, |rig: &mut Rig, _, job| {
+        run_sweep_job(rig, job)
     });
     let outcome = SweepOutcome {
         name,

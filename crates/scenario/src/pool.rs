@@ -6,6 +6,13 @@
 //! finished first. Simulation jobs carry their own RNG seed in their
 //! config, so a job's result is a pure function of the job — thread
 //! count can never change the numbers, only the wall time.
+//!
+//! Each worker also owns one piece of state `S`, built with `Default`
+//! when the worker starts and lent to every job it runs, so a job can
+//! reuse the buffers an earlier job on the same worker grew (the
+//! engines keep their observation [`crate::Rig`] there). Jobs must
+//! reset what they borrow: a result that depended on which jobs ran
+//! before it on the same worker would break the guarantee above.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -27,18 +34,25 @@ impl PoolStats {
 }
 
 /// Runs `f` over every job on `threads` workers, returning results in
-/// job order. `threads` is clamped to `[1, jobs.len()]`; with one
-/// thread everything runs on the calling thread (no spawn overhead —
-/// and no way for thread scheduling to reorder anything).
-pub fn run_parallel<J, R, F>(jobs: &[J], threads: usize, f: F) -> (Vec<R>, PoolStats)
+/// job order; `f` gets its worker's state, the job index and the job.
+/// `threads` is clamped to `[1, jobs.len()]`; with one thread
+/// everything runs on the calling thread (no spawn overhead — and no
+/// way for thread scheduling to reorder anything).
+pub fn run_parallel<J, R, S, F>(jobs: &[J], threads: usize, f: F) -> (Vec<R>, PoolStats)
 where
     J: Sync,
     R: Send,
-    F: Fn(usize, &J) -> R + Sync,
+    S: Default,
+    F: Fn(&mut S, usize, &J) -> R + Sync,
 {
     let threads = threads.clamp(1, jobs.len().max(1));
     if threads <= 1 {
-        let results = jobs.iter().enumerate().map(|(i, j)| f(i, j)).collect();
+        let mut state = S::default();
+        let results = jobs
+            .iter()
+            .enumerate()
+            .map(|(i, j)| f(&mut state, i, j))
+            .collect();
         return (
             results,
             PoolStats {
@@ -57,14 +71,17 @@ where
             let slots = &slots;
             let counts = &counts;
             let f = &f;
-            scope.spawn(move || loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= jobs.len() {
-                    break;
+            scope.spawn(move || {
+                let mut state = S::default();
+                loop {
+                    let i = cursor.fetch_add(1, Ordering::Relaxed);
+                    if i >= jobs.len() {
+                        break;
+                    }
+                    let r = f(&mut state, i, &jobs[i]);
+                    *slots[i].lock().unwrap() = Some(r);
+                    counts[w].fetch_add(1, Ordering::Relaxed);
                 }
-                let r = f(i, &jobs[i]);
-                *slots[i].lock().unwrap() = Some(r);
-                counts[w].fetch_add(1, Ordering::Relaxed);
             });
         }
     });
@@ -89,7 +106,7 @@ mod tests {
     fn results_come_back_in_job_order() {
         let jobs: Vec<u64> = (0..40).collect();
         for threads in [1, 2, 4, 9] {
-            let (results, stats) = run_parallel(&jobs, threads, |i, &j| {
+            let (results, stats) = run_parallel(&jobs, threads, |_: &mut (), i, &j| {
                 // Stagger completion order.
                 std::thread::sleep(std::time::Duration::from_micros((40 - j) * 10));
                 (i as u64) * 1000 + j
@@ -105,10 +122,27 @@ mod tests {
 
     #[test]
     fn empty_and_single_job() {
-        let (r, stats) = run_parallel(&Vec::<u8>::new(), 8, |_, _| 0u8);
+        let (r, stats) = run_parallel(&Vec::<u8>::new(), 8, |_: &mut (), _, _| 0u8);
         assert!(r.is_empty());
         assert_eq!(stats.threads, 1);
-        let (r, _) = run_parallel(&[7u8], 8, |i, &j| (i, j));
+        let (r, _) = run_parallel(&[7u8], 8, |_: &mut (), i, &j| (i, j));
         assert_eq!(r, vec![(0, 7)]);
+    }
+
+    #[test]
+    fn each_worker_keeps_one_state_across_its_jobs() {
+        let jobs = vec![0u8; 30];
+        for threads in [1, 3] {
+            // Each job sees how many jobs its worker ran before it.
+            let (seen, stats) = run_parallel(&jobs, threads, |ran: &mut usize, _, _| {
+                *ran += 1;
+                *ran
+            });
+            let mut seen = seen;
+            seen.sort_unstable();
+            let mut want: Vec<usize> = stats.per_thread_jobs.iter().flat_map(|&n| 1..=n).collect();
+            want.sort_unstable();
+            assert_eq!(seen, want);
+        }
     }
 }

@@ -40,7 +40,7 @@ use airtime_wlan::{Direction, LinkSpec, StationConfig};
 use crate::aggregate::{self, CheckOutcome};
 use crate::spec::{self, CompileError, ScenarioSpec};
 use crate::toml::{Doc, Entry, Value};
-use crate::{bind, pool, PoolStats, ScenarioError};
+use crate::{bind, pool, PoolStats, Rig, ScenarioError};
 
 /// Schema identifier stamped into both tournament documents.
 pub const SCHEMA: &str = "airtime-tournament";
@@ -342,6 +342,40 @@ pub fn expand_tournament(base: &ScenarioSpec, t: &TournamentSpec) -> Vec<Tournam
     jobs
 }
 
+/// Runs one tournament job under `rig`'s single-cell observers (the
+/// same rig a sweep job uses) and rolls it up into its row.
+pub fn run_tournament_job(rig: &mut Rig, job: &TournamentJob) -> TournamentRow {
+    let (report, delays, fp) = rig.run_cell(&job.spec.cfg);
+    let cell = aggregate::aggregate(job.index, Vec::new(), &job.spec, &report, &delays);
+    let stations = cell
+        .stations
+        .iter()
+        .enumerate()
+        .map(|(i, s)| {
+            let d = delays.iter().find(|d| d.station == (i + 1) as u64);
+            TournamentStation {
+                rate: s.rate.clone(),
+                goodput_mbps: s.goodput_mbps,
+                airtime_share: s.airtime_share,
+                delay_ms: d.map(|d| d.queueing_ms).unwrap_or([0.0; 3]),
+            }
+        })
+        .collect();
+    TournamentRow {
+        index: job.index,
+        family: job.family.clone(),
+        mix: job.mix.clone(),
+        direction: job.direction.clone(),
+        stations,
+        total_mbps: cell.total_mbps,
+        utilization: cell.utilization,
+        jain_throughput: cell.jain_throughput,
+        jain_airtime: cell.jain_airtime,
+        check: cell.check,
+        fp: airtime_obs::fp_hex(fp),
+    }
+}
+
 /// Parses, expands and executes a document's `[tournament]` on
 /// `threads` workers.
 pub fn run_tournament(
@@ -358,44 +392,8 @@ pub fn run_tournament(
         });
     };
     let jobs = expand_tournament(&base, &tspec);
-    let (rows, stats) = pool::run_parallel(&jobs, threads, |_, job| {
-        // Same observation rig as the sweep engine: span collection is
-        // effect-only and the capacity-0 recorder fingerprints the run,
-        // so observed rows are byte-identical to unobserved ones.
-        let mut obs = airtime_obs::TeeObserver::new(
-            airtime_obs::SpanCollector::new(),
-            airtime_obs::FlightRecorder::new().with_capacity(0),
-        );
-        let report = airtime_wlan::run_observed(&job.spec.cfg, &mut obs);
-        let delays = obs.a.summary();
-        let cell = aggregate::aggregate(job.index, Vec::new(), &job.spec, &report, &delays);
-        let stations = cell
-            .stations
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                let d = delays.iter().find(|d| d.station == (i + 1) as u64);
-                TournamentStation {
-                    rate: s.rate.clone(),
-                    goodput_mbps: s.goodput_mbps,
-                    airtime_share: s.airtime_share,
-                    delay_ms: d.map(|d| d.queueing_ms).unwrap_or([0.0; 3]),
-                }
-            })
-            .collect();
-        TournamentRow {
-            index: job.index,
-            family: job.family.clone(),
-            mix: job.mix.clone(),
-            direction: job.direction.clone(),
-            stations,
-            total_mbps: cell.total_mbps,
-            utilization: cell.utilization,
-            jain_throughput: cell.jain_throughput,
-            jain_airtime: cell.jain_airtime,
-            check: cell.check,
-            fp: airtime_obs::fp_hex(obs.b.fingerprint()),
-        }
+    let (rows, stats) = pool::run_parallel(&jobs, threads, |rig: &mut Rig, _, job| {
+        run_tournament_job(rig, job)
     });
     let strict_failure = base.check.strict
         && rows

@@ -977,12 +977,33 @@ fn cmd_inspect(a: &Args) -> Result<(), String> {
         return Ok(());
     }
     if a.spans || a.audit {
+        let mut spans = SpanCollector::new();
+        let mut ledger = AirtimeLedger::new();
+        let scan = airtime::obs::scan_file(p, |rec| {
+            if a.spans {
+                spans.record(rec);
+            }
+            if a.audit {
+                ledger.record(rec);
+            }
+        })
+        .map_err(|e| format!("reading {path}: {e}"))?;
+        if let Some((line, msg)) = &scan.first_malformed {
+            if scan.records == 0 {
+                return Err(format!(
+                    "{path}:{line}: {msg} (no record parsed from {} non-blank lines)",
+                    scan.malformed
+                ));
+            }
+            println!(
+                "malformed lines skipped: {} (first at {path}:{line}: {msg})",
+                scan.malformed
+            );
+        }
         if a.spans {
-            let spans = SpanCollector::from_file(p).map_err(|e| format!("reading {path}: {e}"))?;
             print!("{spans}");
         }
         if a.audit {
-            let ledger = AirtimeLedger::from_file(p).map_err(|e| format!("reading {path}: {e}"))?;
             let audit = ledger.audit();
             print!("{audit}");
             if !audit.conserved {

@@ -1,18 +1,25 @@
-//! Allocation budget of the steady-state event loop.
+//! Allocation budget of the steady-state event loop and of the
+//! observation rig on the shipped `tournament`/`sweep` path.
 //!
 //! The MAC, transport and scheduler hand their effects back through
 //! buffers the event loop owns and reuses, the timer wheel recycles its
 //! buckets, and the capacity-0 flight recorder hashes in place — so once
-//! a run has warmed up, dispatching an event allocates nothing. This
-//! test counts allocations with the process-global [`CountingAlloc`] and
-//! pins that property. The counters are process-wide, hence this file
-//! holds a single `#[test]` (no sibling test can allocate concurrently).
+//! a run has warmed up, dispatching an event allocates nothing. Across
+//! jobs, each pool worker resets one observation rig instead of building
+//! a new one, so the frame-span samples (the bulk of an observed run's
+//! bytes) reuse the buffers the first job grew and observer bytes do not
+//! scale with the job count. This test counts allocations with the
+//! process-global [`CountingAlloc`] and pins both properties. The
+//! counters are process-wide, hence this file holds a single `#[test]`
+//! (no sibling test can allocate concurrently).
 
 use airtime::obs::prof::{alloc_stats, set_alloc_counting};
 use airtime::obs::{
-    AllocStats, CountingAlloc, FlightRecorder, Observer, SpanCollector, TeeObserver,
+    AllocStats, CountingAlloc, EventRecord, FlightRecorder, Observer, SpanCollector, TeeObserver,
 };
 use airtime::phy::DataRate::{B1, B11, B2, B5_5};
+use airtime::scenario::tournament::{compile_tournament, expand_tournament};
+use airtime::scenario::{compile, parse_text, run_tournament};
 use airtime::sim::{SimDuration, SimRng, SimTime, TimerWheel};
 use airtime::wlan::{run_observed, scenarios, Direction, SchedulerKind};
 
@@ -36,6 +43,31 @@ impl Observer for Dispatches {
         self.0 += 1;
     }
 }
+
+/// Counts frame spans (allocation-free).
+struct Spans(u64);
+
+impl Observer for Spans {
+    fn on_frame_span(&mut self, _rec: EventRecord) {
+        self.0 += 1;
+    }
+}
+
+/// What the observation rig and the row roll-up may allocate per frame
+/// span, over running the same jobs unobserved.
+const RIG_BYTES_PER_SPAN: f64 = 32.0;
+
+/// A slice of the scheduler zoo: 12 greedy-TCP jobs.
+const ZOO_SLICE: &str = "name = \"zoo-slice\"
+seed = 1
+duration_s = 10
+warmup_s = 1
+
+[tournament]
+families = [\"fifo\", \"tbr\", \"pf\"]
+rate_mixes = [\"11,1\", \"11,5.5,2,1\"]
+directions = [\"down\", \"up\"]
+";
 
 /// One pop+schedule cycle of a wheel held at constant depth: the next
 /// timer lands a mixed horizon after the popped one — mostly within the
@@ -108,5 +140,39 @@ fn steady_state_event_loop_stays_within_its_allocation_budget() {
         "{} allocations ({} bytes) over {dispatches} dispatches: {per_event:.4} per event",
         cell.allocs,
         cell.bytes
+    );
+
+    // The shipped tournament path on one worker, run twice: the first
+    // pass pays one-time process set-up. Over the same jobs run
+    // unobserved, the second pass may add only a few bytes per frame
+    // span (about 10 here, nearly all of it the first job growing the
+    // rig's buffers). Building a fresh span collector per job — sample
+    // vectors grown from empty, then cloned for the quantiles — cost
+    // about 110.
+    let doc = parse_text(ZOO_SLICE, "zoo-slice.toml").expect("slice parses");
+    let first = run_tournament(&doc, "zoo-slice.toml", 1).expect("slice runs");
+    let (second, pass) = count_allocs(|| run_tournament(&doc, "zoo-slice.toml", 1).unwrap());
+    assert_eq!(format!("{:?}", first.rows), format!("{:?}", second.rows));
+    let base = compile(&doc, "zoo-slice.toml").unwrap();
+    let slice = compile_tournament(&doc, &base).unwrap().unwrap();
+    let (spans, plain) = count_allocs(|| {
+        expand_tournament(&base, &slice)
+            .iter()
+            .map(|job| {
+                let mut count = Spans(0);
+                run_observed(&job.spec.cfg, &mut count);
+                count.0
+            })
+            .sum::<u64>()
+    });
+    assert!(spans > 20_000, "slice too small: {spans} frame spans");
+    let rig_bytes = pass.bytes.saturating_sub(plain.bytes);
+    let per_span = rig_bytes as f64 / spans as f64;
+    assert!(
+        per_span < RIG_BYTES_PER_SPAN,
+        "observed pass allocated {} bytes, unobserved {}: {rig_bytes} over {spans} frame spans, \
+         {per_span:.1} per span",
+        pass.bytes,
+        plain.bytes
     );
 }

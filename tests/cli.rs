@@ -1,7 +1,8 @@
 //! Hostile input to `airtime-cli` — out-of-range numbers, a "trace"
 //! with no parseable record, a zero TBR fill period — ends in a
 //! diagnostic and a non-zero exit, never a panic, an unbounded run or a
-//! silent empty summary.
+//! silent empty summary. A partly corrupted trace is summarised with
+//! its bad lines counted and the first one named.
 
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
@@ -104,5 +105,76 @@ fn inspect_rejects_a_file_with_no_parseable_record() {
     assert!(stdout.contains("records: 1"), "{stdout}");
     assert!(stdout.contains("malformed lines skipped: 1"), "{stdout}");
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn inspect_spans_and_audit_report_skipped_malformed_lines() {
+    let dir = std::env::temp_dir().join(format!("airtime-cli-spans-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let cli = |args: &[&std::ffi::OsStr]| {
+        Command::new(env!("CARGO_BIN_EXE_airtime-cli"))
+            .args(args)
+            .output()
+            .expect("airtime-cli runs")
+    };
+    let trace = dir.join("events.jsonl");
+    let out = cli(&[
+        "run".as_ref(),
+        "--rates".as_ref(),
+        "11,1".as_ref(),
+        "--secs".as_ref(),
+        "2".as_ref(),
+        "--events".as_ref(),
+        trace.as_os_str(),
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    // Corrupt the trace: a truncated record on line 3, garbage on a
+    // later line. Inserting (not replacing) keeps the timeline whole, so
+    // the audit still conserves.
+    let text = std::fs::read_to_string(&trace).expect("trace written");
+    let mut lines: Vec<&str> = text.lines().collect();
+    assert!(lines.len() > 100, "trace too short");
+    let truncated = &lines[2][..lines[2].len() / 2];
+    lines.insert(2, truncated);
+    lines.insert(50, "not json");
+    let corrupt = dir.join("corrupt.jsonl");
+    std::fs::write(&corrupt, lines.join("\n")).expect("write corrupt trace");
+
+    let out = cli(&[
+        "inspect".as_ref(),
+        corrupt.as_os_str(),
+        "--spans".as_ref(),
+        "--audit".as_ref(),
+    ]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let first = format!(
+        "malformed lines skipped: 2 (first at {}:3: ",
+        corrupt.display()
+    );
+    assert!(stdout.contains(&first), "{stdout}");
+    assert!(stdout.contains("frame spans: "), "{stdout}");
+
+    // Nothing parseable: exit 1 at the first bad line, as plain
+    // `inspect` does.
+    let garbage = dir.join("garbage.jsonl");
+    std::fs::write(&garbage, "\ngarbage\nmore garbage\n").expect("write garbage");
+    for flag in ["--spans", "--audit"] {
+        let out = cli(&["inspect".as_ref(), garbage.as_os_str(), flag.as_ref()]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flag}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+        assert!(stderr.contains("garbage.jsonl:2: "), "{flag}: {stderr}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
