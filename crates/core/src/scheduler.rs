@@ -8,7 +8,7 @@
 //! dequeue rules plus its [`QueuePool`], and reads backlog, per-client
 //! queue lengths and drop counts from the pool.
 
-use airtime_sim::{SimDuration, SimRng, SimTime};
+use airtime_sim::{SimDuration, SimRng, SimTime, StationSlots};
 use std::collections::VecDeque;
 
 use crate::buffer::{BufferPolicy, RedState};
@@ -168,6 +168,16 @@ pub trait ApScheduler {
         pool.slot_of(client).map_or(0, |i| pool.queues[i].len())
     }
 
+    /// False only when an offer for `client` is certain to be dropped
+    /// and dropping it would change nothing but the drop count. A
+    /// saturating traffic source asks this before it generates a
+    /// datagram, so a full drop-tail queue costs no futile offer. The
+    /// default reads the pool ([`QueuePool::would_accept`]); a
+    /// discipline whose enqueue drops by another rule overrides it.
+    fn would_accept(&self, client: ClientId) -> bool {
+        self.pool().would_accept(client)
+    }
+
     /// True when [`dequeue`](ApScheduler::dequeue) would return a packet.
     fn has_eligible(&self, _now: SimTime) -> bool {
         self.backlog() > 0
@@ -185,11 +195,13 @@ pub trait ApScheduler {
 pub struct QueuePool {
     /// One FIFO per registered client, in slot order.
     pub queues: Vec<VecDeque<QueuedPacket>>,
-    /// Slot → client mapping (append-only).
-    pub clients: Vec<ClientId>,
+    /// Client → slot, append-only in first-registration order.
+    slots: StationSlots,
     total_budget: usize,
     drops: u64,
     policy: BufferPolicy,
+    /// RED history per slot; empty in a drop-tail pool, which keeps
+    /// none.
     red: Vec<RedState>,
     rng: SimRng,
 }
@@ -202,7 +214,7 @@ impl QueuePool {
     pub fn with_policy(total_budget: usize, policy: BufferPolicy) -> Self {
         QueuePool {
             queues: Vec::new(),
-            clients: Vec::new(),
+            slots: StationSlots::default(),
             total_budget: total_budget.max(1),
             drops: 0,
             policy,
@@ -213,19 +225,33 @@ impl QueuePool {
         }
     }
 
+    /// The slot `client` was registered under, in O(1) for ids below
+    /// 65,536.
     pub fn slot_of(&self, client: ClientId) -> Option<usize> {
-        self.clients.iter().position(|&c| c == client)
+        self.slots.get(client.0 as u64)
     }
 
+    /// Registers `client` (idempotent) and returns its slot.
     pub fn add_client(&mut self, client: ClientId) -> usize {
-        match self.slot_of(client) {
-            Some(i) => i,
-            None => {
-                self.clients.push(client);
-                self.queues.push(VecDeque::new());
+        let (slot, new) = self.slots.slot(client.0 as u64);
+        if new {
+            self.queues.push(VecDeque::new());
+            if let BufferPolicy::Red(_) = self.policy {
                 self.red.push(RedState::default());
-                self.queues.len() - 1
             }
+        }
+        slot
+    }
+
+    /// False only when an offer for `client` is certain to be dropped
+    /// and the drop would change nothing but the drop count: a
+    /// drop-tail pool whose registered slot for `client` is full. RED
+    /// pools and unregistered clients answer true, because offering
+    /// there changes state (RED's drop history, a new slot).
+    pub fn would_accept(&self, client: ClientId) -> bool {
+        match (self.policy, self.slot_of(client)) {
+            (BufferPolicy::DropTail, Some(i)) => self.queues[i].len() < self.per_queue_cap(),
+            _ => true,
         }
     }
 
@@ -237,7 +263,11 @@ impl QueuePool {
         let slot = self.add_client(pkt.client);
         let cap = self.per_queue_cap();
         let len = self.queues[slot].len();
-        if self.red[slot].should_drop(&self.policy, len, cap, &mut self.rng) {
+        let dropped = match self.red.get_mut(slot) {
+            Some(red) => red.should_drop(&self.policy, len, cap, &mut self.rng),
+            None => len >= cap,
+        };
+        if dropped {
             self.drops += 1;
             EnqueueOutcome::Dropped
         } else {
@@ -253,7 +283,9 @@ impl QueuePool {
     pub fn flush_client(&mut self, client: ClientId) -> Vec<QueuedPacket> {
         match self.slot_of(client) {
             Some(i) => {
-                self.red[i] = RedState::default();
+                if let Some(red) = self.red.get_mut(i) {
+                    *red = RedState::default();
+                }
                 self.queues[i].drain(..).collect()
             }
             None => Vec::new(),
@@ -281,5 +313,70 @@ impl QueuePool {
     /// True when no client slot has been registered yet.
     pub fn is_empty(&self) -> bool {
         self.queues.is_empty()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::buffer::RedConfig;
+
+    fn pkt(client: usize) -> QueuedPacket {
+        QueuedPacket {
+            client: ClientId(client),
+            handle: 0,
+            bytes: 1500,
+        }
+    }
+
+    #[test]
+    fn slots_follow_first_registration_order_for_huge_ids() {
+        let ids = [3, usize::MAX, 0, 1 << 40, 3, usize::MAX, 17, 1 << 40, 0];
+        let mut pool = QueuePool::new(100);
+        // The linear scan the slot table replaced.
+        let mut scan: Vec<usize> = Vec::new();
+        for id in ids {
+            let old = scan.iter().position(|&c| c == id).unwrap_or_else(|| {
+                scan.push(id);
+                scan.len() - 1
+            });
+            assert_eq!(pool.add_client(ClientId(id)), old, "id {id}");
+        }
+        assert_eq!(scan, [3, usize::MAX, 0, 1 << 40, 17]);
+        for (slot, &id) in scan.iter().enumerate() {
+            assert_eq!(pool.slot_of(ClientId(id)), Some(slot));
+        }
+        assert_eq!(pool.slot_of(ClientId(4)), None);
+        assert_eq!(pool.slot_of(ClientId((1 << 40) + 1)), None);
+        // A drop-tail pool keeps no RED history.
+        assert_eq!((pool.len(), pool.red.len()), (5, 0));
+        // Huge ids never reach the direct table.
+        assert_eq!(pool.slots.table_len(), 32);
+    }
+
+    #[test]
+    fn would_accept_is_false_only_for_a_full_drop_tail_slot() {
+        let mut pool = QueuePool::new(4);
+        pool.add_client(ClientId(0));
+        pool.add_client(ClientId(1));
+        for _ in 0..2 {
+            assert!(pool.would_accept(ClientId(0)));
+            assert_eq!(pool.enqueue(pkt(0)), EnqueueOutcome::Accepted);
+        }
+        assert!(!pool.would_accept(ClientId(0)));
+        assert_eq!(pool.enqueue(pkt(0)), EnqueueOutcome::Dropped);
+        assert!(pool.would_accept(ClientId(1)));
+        // An unregistered client's offer would register a slot.
+        assert!(pool.would_accept(ClientId(9)));
+
+        // A RED pool always takes the offer: its drop moves RED state.
+        let mut red = QueuePool::with_policy(4, BufferPolicy::Red(RedConfig::default()));
+        red.add_client(ClientId(0));
+        assert_eq!(red.red.len(), 1);
+        for _ in 0..4 {
+            let _ = red.enqueue(pkt(0));
+        }
+        assert_eq!(red.queues[0].len(), 4);
+        assert!(red.would_accept(ClientId(0)));
     }
 }

@@ -72,6 +72,13 @@ impl UdpSource {
         self.config.task_bytes.is_some_and(|t| self.sent_bytes >= t)
     }
 
+    /// True for an unpaced, unbounded source: it always has another
+    /// datagram, and emitting one spends neither pacing tokens nor task
+    /// bytes, so a datagram it does not emit is not missed.
+    pub fn is_saturating(&self) -> bool {
+        self.limiter.is_none() && self.config.task_bytes.is_none()
+    }
+
     /// Emits the next datagram if pacing (and the task budget) allows.
     pub fn poll_packet(&mut self, now: SimTime) -> Option<Packet> {
         if self.is_exhausted() {

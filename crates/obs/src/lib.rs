@@ -29,7 +29,6 @@ pub mod metrics;
 pub mod observer;
 pub mod prof;
 pub mod recorder;
-mod slots;
 pub mod spans;
 
 pub use event::{

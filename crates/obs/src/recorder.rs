@@ -58,12 +58,11 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 
-use airtime_sim::SimTime;
+use airtime_sim::{SimTime, StationSlots};
 
 use crate::event::{EventRecord, QueueSite};
 use crate::json::{parse_flat, Obj, Value};
 use crate::observer::Observer;
-use crate::slots::StationSlots;
 
 /// FNV-1a 64-bit offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;

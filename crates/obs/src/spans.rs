@@ -36,12 +36,11 @@
 
 use std::fmt;
 
-use airtime_sim::{SimDuration, SimTime};
+use airtime_sim::{SimDuration, SimTime, StationSlots};
 
 use crate::csv::Csv;
 use crate::event::{EventRecord, RunPhase};
 use crate::observer::Observer;
-use crate::slots::StationSlots;
 
 /// The percentiles every delay column reports.
 pub const PERCENTILES: [f64; 3] = [0.50, 0.95, 0.99];

@@ -62,7 +62,7 @@ impl ApScheduler for FifoScheduler {
     }
 
     fn enqueue(&mut self, pkt: QueuedPacket, _now: SimTime) -> EnqueueOutcome {
-        if self.pool.queues[0].len() >= self.pool.per_queue_cap() {
+        if !self.would_accept(pkt.client) {
             self.pool.note_drop();
             EnqueueOutcome::Dropped
         } else {
@@ -82,6 +82,11 @@ impl ApScheduler for FifoScheduler {
     /// Every client shares the one queue, so each sees its occupancy.
     fn queue_len(&self, _client: ClientId) -> usize {
         self.backlog()
+    }
+
+    /// Every client's offer meets the one shared drop-tail queue.
+    fn would_accept(&self, _client: ClientId) -> bool {
+        self.pool.queues[0].len() < self.pool.per_queue_cap()
     }
 }
 
@@ -317,6 +322,29 @@ mod tests {
         assert_eq!(f.dequeue(now).unwrap().handle, 1);
         assert_eq!(f.dequeue(now).unwrap().handle, 2);
         assert!(f.dequeue(now).is_none());
+    }
+
+    #[test]
+    fn rr_and_drr_rotate_in_first_registration_order_for_huge_ids() {
+        let order = [usize::MAX, 5, 1 << 40, 0];
+        let now = SimTime::ZERO;
+        let rr: Box<dyn ApScheduler> = Box::new(RoundRobinScheduler::new(100));
+        let drr: Box<dyn ApScheduler> = Box::new(DrrScheduler::new(100, 1500));
+        for mut s in [rr, drr] {
+            for round in 0..2 {
+                for (i, &c) in order.iter().enumerate() {
+                    let handle = (round * order.len() + i) as u64;
+                    assert_eq!(
+                        s.enqueue(pkt(c, handle, 1500), now),
+                        EnqueueOutcome::Accepted
+                    );
+                }
+            }
+            let served: Vec<usize> = std::iter::from_fn(|| s.dequeue(now))
+                .map(|p| p.client.index())
+                .collect();
+            assert_eq!(served, [order, order].concat());
+        }
     }
 
     #[test]

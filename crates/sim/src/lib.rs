@@ -22,6 +22,8 @@
 //! - [`profile`]: wall-clock profiling of the event loop itself
 //!   ([`LoopProfiler`]) — per-event-type counts and host time per
 //!   simulated second, without touching simulated state.
+//! - [`slots`]: dense first-sight slots for station ids
+//!   ([`StationSlots`]), resolved in O(1) through a direct table.
 //!
 //! # Examples
 //!
@@ -39,6 +41,7 @@
 pub mod profile;
 pub mod queue;
 pub mod rng;
+pub mod slots;
 pub mod stats;
 pub mod time;
 pub mod wheel;
@@ -46,6 +49,7 @@ pub mod wheel;
 pub use profile::{LoopProfiler, NsHist};
 pub use queue::{AnyQueue, EventQueue, QueueBackend, Timeline};
 pub use rng::SimRng;
+pub use slots::StationSlots;
 pub use stats::{Histogram, RateMeter, RunningStats, TimeWeighted};
 pub use time::{SimDuration, SimTime};
 pub use wheel::TimerWheel;

@@ -1319,14 +1319,28 @@ impl<'c, O: Observer> Sim<'c, O> {
         }
     }
 
+    /// Feeds a UDP downlink flow into the AP scheduler.
+    ///
+    /// Back-pressure contract: the source offers datagrams while its AP
+    /// queue holds fewer than 40 packets, and stops at the first drop.
+    /// A saturating source ([`UdpSource::is_saturating`]) offers one
+    /// only when [`ApScheduler::would_accept`] says it may be buffered,
+    /// so a full drop-tail queue costs no datagram, offer or drop. Paced
+    /// and bounded sources, and RED pools, still offer into a full
+    /// queue: their drop spends limiter tokens or task bytes, or resets
+    /// RED's drop history, so skipping it would change the run.
     fn pump_udp_downlink(&mut self, flow: usize) {
         let key = self.reg_key(flow);
         let now = self.now;
-        // Back-pressure: keep the AP queue for this client primed but
-        // never blind-feed a full buffer (a saturating source would
-        // otherwise generate unbounded work).
+        let saturating = self.flows[flow]
+            .udp
+            .as_ref()
+            .is_some_and(UdpSource::is_saturating);
         let mut pushed = false;
         while self.sched.queue_len(key) < 40 {
+            if saturating && !self.sched.would_accept(key) {
+                break;
+            }
             let pkt = match self.flows[flow].udp.as_mut() {
                 Some(u) => u.poll_packet(now),
                 None => None,

@@ -26,7 +26,8 @@ use airtime::scenario::spec::rate_from_token;
 use airtime::sim::SimDuration;
 use airtime::topo::{run_topology, run_topology_profiled};
 use airtime::wlan::{
-    run_observed, run_profiled, scenarios, Direction, NetworkConfig, Report, SchedulerKind,
+    run_observed, run_profiled, scenarios, Direction, FlowSpec, NetworkConfig, Report,
+    SchedulerKind,
 };
 
 /// Allocation counting for `profile` (a gated relaxed-atomic load per
@@ -464,9 +465,10 @@ fn cmd_run(a: &Args) -> Result<(), String> {
         return Ok(());
     }
     println!(
-        "{} stations, {} TCP, {} s simulated\n",
+        "{} stations, {} {}, {} s simulated\n",
         cfg.stations.len(),
         direction_label(&cfg),
+        transport_label(&cfg),
         cfg.duration.as_secs_f64()
     );
     println!("station  rate   goodput Mb/s  airtime  p50 lat ms");
@@ -657,16 +659,23 @@ fn suffixed(path: &std::path::Path, tag: &str) -> PathBuf {
 /// One word describing where the cell's flows point: `Uplink`,
 /// `Downlink`, or `Mixed` when a scenario file declares both.
 fn direction_label(cfg: &NetworkConfig) -> String {
-    let mut dirs = cfg
-        .stations
-        .iter()
-        .flat_map(|s| s.flows.iter())
-        .map(|f| f.direction);
-    match dirs.next() {
+    flow_label(cfg, |f| format!("{:?}", f.direction))
+}
+
+/// "TCP", "UDP" or "Mixed", from the transports of `cfg`'s flows.
+fn transport_label(cfg: &NetworkConfig) -> String {
+    flow_label(cfg, |f| format!("{:?}", f.transport).to_uppercase())
+}
+
+/// The `key` every flow of `cfg` shares, "Mixed" when they differ, or
+/// "idle" when there are no flows.
+fn flow_label(cfg: &NetworkConfig, key: impl Fn(&FlowSpec) -> String) -> String {
+    let mut keys = cfg.stations.iter().flat_map(|s| s.flows.iter()).map(key);
+    match keys.next() {
         None => "idle".into(),
         Some(first) => {
-            if dirs.all(|d| d == first) {
-                format!("{first:?}")
+            if keys.all(|k| k == first) {
+                first
             } else {
                 "Mixed".into()
             }

@@ -2,7 +2,8 @@
 //! with no parseable record, a zero TBR fill period — ends in a
 //! diagnostic and a non-zero exit, never a panic, an unbounded run or a
 //! silent empty summary. A partly corrupted trace is summarised with
-//! its bad lines counted and the first one named.
+//! its bad lines counted and the first one named. The `run` header
+//! names the cell's transport as its flows declare it.
 
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
@@ -25,6 +26,54 @@ fn out_of_range_secs_are_rejected_without_panicking() {
         );
         assert!(stderr.contains("bad --secs"), "--secs {secs}: {stderr}");
     }
+}
+
+#[test]
+fn run_header_names_the_transport_of_the_flows() {
+    let dir = std::env::temp_dir().join(format!("airtime-cli-header-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let header = |name: &str, second_transport: &str| {
+        let path = dir.join(name);
+        std::fs::write(
+            &path,
+            format!(
+                "duration_s = 2\nwarmup_s = 1\ndirection = \"down\"\n\
+                 [[station]]\nrate = \"11\"\ntransport = \"udp\"\n\
+                 [[station]]\nrate = \"1\"\ntransport = \"{second_transport}\"\n"
+            ),
+        )
+        .expect("write scenario");
+        let out = Command::new(env!("CARGO_BIN_EXE_airtime-cli"))
+            .args(["run", "--scenario"])
+            .arg(&path)
+            .output()
+            .expect("airtime-cli runs");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        stdout.lines().next().unwrap_or_default().to_string()
+    };
+    assert_eq!(
+        header("udp.toml", "udp"),
+        "2 stations, Downlink UDP, 2 s simulated"
+    );
+    assert_eq!(
+        header("mixed.toml", "tcp"),
+        "2 stations, Downlink Mixed, 2 s simulated"
+    );
+    let out = Command::new(env!("CARGO_BIN_EXE_airtime-cli"))
+        .args(["run", "--rates", "11,1", "--secs", "2"])
+        .output()
+        .expect("airtime-cli runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.starts_with("2 stations, Uplink TCP, 2 s simulated\n"),
+        "{stdout}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
