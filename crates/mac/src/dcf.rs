@@ -177,6 +177,8 @@ struct Station {
     retries: u32,
     defer_until: Option<SimTime>,
     airtime_this_frame: SimDuration,
+    /// Channel occupancy billed to this station as a client.
+    occupancy: SimDuration,
 }
 
 #[derive(Clone, Copy)]
@@ -207,10 +209,28 @@ pub struct MacStats {
 }
 
 /// The shared-medium DCF world: all stations plus the channel.
+///
+/// # Settle cost
+///
+/// Contention passes — rescheduling access, crediting the countdown,
+/// resolving access, imposing a cell-wide defer — walk only the *live*
+/// stations: those that have ever held a frame or a per-station defer,
+/// kept in index order. Every other station is *dormant*: no frame, no
+/// backoff, and the one defer all dormant stations share. A dormant
+/// station can neither contend nor carry backoff, so leaving it out of
+/// a pass changes nothing, and walking the live list in index order
+/// keeps every RNG draw where it was. A downlink cell where only the AP
+/// sends pays for one station per pass, however many clients it has.
 pub struct DcfWorld {
     config: DcfConfig,
     links: Vec<LinkErrorModel>,
     stations: Vec<Station>,
+    /// Indices of the live stations, ascending; sized once in
+    /// [`DcfWorld::new`].
+    live: Vec<usize>,
+    /// The defer every dormant station holds; copied into a station
+    /// when it turns live.
+    dormant_defer: Option<SimTime>,
     rng: SimRng,
     /// When the medium last became idle.
     idle_start: SimTime,
@@ -221,7 +241,6 @@ pub struct DcfWorld {
     countdown_active: bool,
     generation: u64,
     in_flight: Vec<InFlight>,
-    occupancy: Vec<SimDuration>,
     busy_accum: SimDuration,
     stats: MacStats,
     emit_backoff: bool,
@@ -257,8 +276,11 @@ impl DcfWorld {
                     retries: 0,
                     defer_until: None,
                     airtime_this_frame: SimDuration::ZERO,
+                    occupancy: SimDuration::ZERO,
                 })
                 .collect(),
+            live: Vec::with_capacity(n),
+            dormant_defer: None,
             rng,
             idle_start: SimTime::ZERO,
             busy_until: None,
@@ -266,7 +288,6 @@ impl DcfWorld {
             countdown_active: false,
             generation: 0,
             in_flight: Vec::new(),
-            occupancy: vec![SimDuration::ZERO; n],
             busy_accum: SimDuration::ZERO,
             stats: MacStats::default(),
             emit_backoff: false,
@@ -309,7 +330,7 @@ impl DcfWorld {
     /// Channel occupancy attributed to client `node` so far — the
     /// paper's T(i) numerator.
     pub fn occupancy(&self, node: NodeId) -> SimDuration {
-        self.occupancy[node.index()]
+        self.stations[node.index()].occupancy
     }
 
     /// Total time the medium has been busy.
@@ -350,6 +371,7 @@ impl DcfWorld {
         if self.stations[idx].pending.is_some() {
             return Err(frame);
         }
+        self.wake(idx);
         let medium_busy = self.is_busy(now);
         let needs_backoff = self.stations[idx].backoff.is_none();
         if needs_backoff {
@@ -396,6 +418,7 @@ impl DcfWorld {
         if until <= now {
             return;
         }
+        self.wake(node.index());
         if self.stations[node.index()]
             .defer_until
             .is_some_and(|t| t >= until)
@@ -421,8 +444,24 @@ impl DcfWorld {
         if until <= now {
             return;
         }
-        let extends = |st: &Station| st.defer_until.is_none_or(|t| t < until);
-        let Some(first) = self.stations.iter().position(extends) else {
+        let extends = |defer: Option<SimTime>| defer.is_none_or(|t| t < until);
+        // The lowest-indexed station whose defer grows: a live one, or
+        // the lowest dormant index (the first gap in the ascending live
+        // list) when the dormant stations' shared defer grows.
+        let first_live = self
+            .live
+            .iter()
+            .copied()
+            .find(|&i| extends(self.stations[i].defer_until));
+        let first_dormant = (self.live.len() < self.stations.len() && extends(self.dormant_defer))
+            .then(|| {
+                self.live
+                    .iter()
+                    .enumerate()
+                    .position(|(k, &i)| k != i)
+                    .unwrap_or(self.live.len())
+            });
+        let Some(first) = first_live.into_iter().chain(first_dormant).min() else {
             return;
         };
         // The per-node loop reschedules after each new defer. Only its
@@ -430,11 +469,18 @@ impl DcfWorld {
         // and when it does it credits the countdown slots elapsed since
         // `anchor` before the later rounds stop the countdown.
         let credit = !self.is_busy(now)
-            && (0..self.stations.len()).any(|i| i != first && self.is_contender(i, now));
-        for st in &mut self.stations {
-            if extends(st) {
+            && self
+                .live
+                .iter()
+                .any(|&i| i != first && self.is_contender(i, now));
+        for &i in &self.live {
+            let st = &mut self.stations[i];
+            if extends(st.defer_until) {
                 st.defer_until = Some(until);
             }
+        }
+        if extends(self.dormant_defer) {
+            self.dormant_defer = Some(until);
         }
         effects.push(MacEffect::Schedule {
             at: until,
@@ -467,16 +513,33 @@ impl DcfWorld {
                 // (see `is_contender`), so clearing them all and
                 // rescheduling once ends where one timer per node would.
                 let mut cleared = false;
-                for st in &mut self.stations {
+                for &i in &self.live {
+                    let st = &mut self.stations[i];
                     if st.defer_until.is_some_and(|t| t <= now) {
                         st.defer_until = None;
                         cleared = true;
                     }
                 }
+                // The dormant stations' defer counts only while some
+                // station is still dormant.
+                if self.dormant_defer.is_some_and(|t| t <= now) {
+                    self.dormant_defer = None;
+                    cleared |= self.live.len() < self.stations.len();
+                }
                 if cleared {
                     self.reschedule_access(now, effects);
                 }
             }
+        }
+    }
+
+    /// Turns station `idx` live (no-op when it already is): inserts it
+    /// into the live list at its index position and hands it the defer
+    /// it held as a dormant station.
+    fn wake(&mut self, idx: usize) {
+        if let Err(at) = self.live.binary_search(&idx) {
+            self.live.insert(at, idx);
+            self.stations[idx].defer_until = self.dormant_defer;
         }
     }
 
@@ -514,14 +577,17 @@ impl DcfWorld {
             return; // TxEnd will reschedule.
         }
         self.generation += 1; // Invalidate any previously scheduled access.
-        if !(0..self.stations.len()).any(|i| self.is_contender(i, now)) {
+        if !self.live.iter().any(|&i| self.is_contender(i, now)) {
             self.countdown_active = false;
             self.contention_since = None;
             return;
         }
         self.advance_countdown(now);
         let slot = self.slot();
-        let min_b = (0..self.stations.len())
+        let min_b = self
+            .live
+            .iter()
+            .copied()
             .filter(|&i| self.is_contender(i, now))
             .map(|i| self.stations[i].backoff.unwrap_or(0))
             .min()
@@ -551,8 +617,8 @@ impl DcfWorld {
         if self.countdown_active {
             if new_anchor > self.anchor {
                 let elapsed = (new_anchor - self.anchor) / slot;
-                for st in &mut self.stations {
-                    if let Some(b) = st.backoff.as_mut() {
+                for &i in &self.live {
+                    if let Some(b) = self.stations[i].backoff.as_mut() {
                         *b = b.saturating_sub(elapsed as u32);
                     }
                 }
@@ -568,8 +634,8 @@ impl DcfWorld {
     fn on_access(&mut self, now: SimTime, effects: &mut Vec<MacEffect>) {
         let slot = self.slot();
         let elapsed = (now.saturating_since(self.anchor) / slot) as u32;
-        for st in &mut self.stations {
-            if let Some(b) = st.backoff.as_mut() {
+        for &i in &self.live {
+            if let Some(b) = self.stations[i].backoff.as_mut() {
                 *b = b.saturating_sub(elapsed);
             }
         }
@@ -578,7 +644,7 @@ impl DcfWorld {
 
         let is_winner =
             |w: &Self, i: usize| w.is_contender(i, now) && w.stations[i].backoff == Some(0);
-        if !(0..self.stations.len()).any(|i| is_winner(self, i)) {
+        if !self.live.iter().any(|&i| is_winner(self, i)) {
             // Stale state (e.g. the minimum-backoff station was deferred
             // in the meantime); recompute.
             self.reschedule_access(now, effects);
@@ -587,7 +653,8 @@ impl DcfWorld {
 
         let phy = self.config.phy;
         debug_assert!(self.in_flight.is_empty(), "previous cycle not drained");
-        for w in 0..self.stations.len() {
+        for k in 0..self.live.len() {
+            let w = self.live[k];
             // A winner's own draw consumes only its own backoff, so the
             // test for later stations is unaffected by earlier winners.
             if !is_winner(self, w) {
@@ -831,7 +898,7 @@ impl DcfWorld {
         for k in 0..self.in_flight.len() {
             let tx = self.in_flight[k];
             let client = self.client_of(&tx.frame);
-            self.occupancy[client] += tx.airtime;
+            self.stations[client].occupancy += tx.airtime;
             let idx = tx.frame.src.index();
             self.stations[idx].airtime_this_frame += tx.airtime;
             let success = !collision && !tx.data_lost && !tx.ack_lost;

@@ -1,13 +1,22 @@
-//! Differential test for the cell-wide defer: a world that applies
-//! every co-channel busy window with one `DcfWorld::defer_all` call must
-//! behave exactly like a world that loops `set_defer` over every node.
+//! Differential tests for the DCF world, each pairing two worlds that
+//! must look the same from outside:
+//!
+//! - the cell-wide defer: a world that applies every co-channel busy
+//!   window with one `DcfWorld::defer_all` call must behave exactly
+//!   like a world that loops `set_defer` over every node;
+//! - stations that never get a frame are invisible: a world with such
+//!   stations appended — never offered a frame nor given a defer of
+//!   their own, though every cell-wide defer covers them — must behave
+//!   exactly like the world without them.
 //!
 //! Both worlds replay the same seeded random stream of frame offers,
 //! per-station defers and cell-wide defers, each delivering its own due
 //! events in time order. Everything the embedder can see except the
 //! timer events themselves — attempts, deliveries, final outcomes,
 //! backoff draws, airtime slices, the instants the medium turns busy,
-//! and the closing statistics — must match.
+//! and the closing statistics — must match. (A cell-wide defer may arm
+//! an expiry timer in only one of the worlds: only there did some
+//! station's defer grow.)
 
 use airtime_mac::{DcfConfig, DcfWorld, Frame, MacEffect, MacEvent, NodeId};
 use airtime_phy::{DataRate, LinkErrorModel, Phy80211b};
@@ -178,27 +187,35 @@ fn run_case(case: u64, traffic: Traffic) -> (u64, u64, u64) {
         }
     }
     let end = now + SimDuration::from_millis(50);
-    cellwide.deliver_until(end, true);
-    looping.deliver_until(end, true);
-    cellwide.with(end, |w, fx| w.drain_airtime_tail(end, fx));
-    looping.with(end, |w, fx| w.drain_airtime_tail(end, fx));
+    assert_agree(
+        &format!("case {case} ({traffic:?})"),
+        [&mut cellwide, &mut looping],
+        n,
+        end,
+    );
+    (windows, cellwide.defer_expiries, looping.defer_expiries)
+}
 
+/// Drains both lanes up to `end`, closes their airtime timelines, and
+/// asserts they agree on everything but timer events, over stations
+/// `0..n`.
+fn assert_agree(label: &str, [a, b]: [&mut Lane; 2], n: usize, end: SimTime) {
+    for lane in [&mut *a, &mut *b] {
+        lane.deliver_until(end, true);
+        lane.with(end, |w, fx| w.drain_airtime_tail(end, fx));
+    }
     assert!(
-        cellwide.log == looping.log,
-        "case {case} ({traffic:?}): effect streams diverge at entry {} of {}/{}",
-        cellwide
-            .log
+        a.log == b.log,
+        "{label}: effect streams diverge at entry {} of {}/{}",
+        a.log
             .iter()
-            .zip(&looping.log)
-            .position(|(a, b)| a != b)
-            .unwrap_or(cellwide.log.len().min(looping.log.len())),
-        cellwide.log.len(),
-        looping.log.len()
+            .zip(&b.log)
+            .position(|(x, y)| x != y)
+            .unwrap_or(a.log.len().min(b.log.len())),
+        a.log.len(),
+        b.log.len()
     );
-    assert_eq!(
-        cellwide.accesses, looping.accesses,
-        "case {case} ({traffic:?}): access times diverge"
-    );
+    assert_eq!(a.accesses, b.accesses, "{label}: access times diverge");
     let stats = |lane: &Lane| {
         let s = lane.world.stats();
         [
@@ -209,23 +226,106 @@ fn run_case(case: u64, traffic: Traffic) -> (u64, u64, u64) {
             s.dropped,
         ]
     };
-    assert_eq!(
-        stats(&cellwide),
-        stats(&looping),
-        "case {case}: MAC statistics diverge"
-    );
-    assert_eq!(cellwide.world.busy_time(), looping.world.busy_time());
+    assert_eq!(stats(a), stats(b), "{label}: MAC statistics diverge");
+    assert_eq!(a.world.busy_time(), b.world.busy_time());
     for i in 0..n {
-        assert_eq!(
-            cellwide.world.occupancy(NodeId(i)),
-            looping.world.occupancy(NodeId(i))
-        );
+        assert_eq!(a.world.occupancy(NodeId(i)), b.world.occupancy(NodeId(i)));
     }
     assert!(
-        !cellwide.log.is_empty(),
-        "case {case}: the stream must exercise the MAC"
+        !a.log.is_empty(),
+        "{label}: the stream must exercise the MAC"
     );
-    (windows, cellwide.defer_expiries, looping.defer_expiries)
+}
+
+/// Replays one random case on a world of `n` stations and on the same
+/// world with 1–24 stations appended that never get a frame, and
+/// asserts they agree. Returns how many effects it compared.
+fn run_dormant_case(case: u64, traffic: Traffic) -> usize {
+    let mut gen = SimRng::new(0xD0A4_0000 + case);
+    let n = gen.range_inclusive(2, 6) as usize;
+    let extra = gen.range_inclusive(1, 24) as usize;
+    let link = |gen: &mut SimRng| {
+        if gen.chance(0.5) {
+            LinkErrorModel::Perfect
+        } else {
+            LinkErrorModel::FixedFer(gen.unit() * 0.4)
+        }
+    };
+    let mut links = vec![LinkErrorModel::Perfect];
+    for _ in 1..n {
+        links.push(link(&mut gen));
+    }
+    let mut wide_links = links.clone();
+    for _ in 0..extra {
+        wide_links.push(link(&mut gen));
+    }
+    let seed = gen.below(1 << 32);
+    let mut narrow = Lane::new(&links, seed);
+    let mut wide = Lane::new(&wide_links, seed);
+
+    let mut now = SimTime::ZERO;
+    let mut handle = 0u64;
+    for _ in 0..400 {
+        if !gen.chance(0.2) {
+            now += SimDuration::from_micros(gen.below(600));
+        }
+        let inclusive = gen.chance(0.5);
+        narrow.deliver_until(now, inclusive);
+        wide.deliver_until(now, inclusive);
+        match gen.below(10) {
+            0..=4 => {
+                let src = match traffic {
+                    Traffic::Downlink => AP,
+                    Traffic::Uplink => NodeId(gen.range_inclusive(1, n as u64 - 1) as usize),
+                    Traffic::Mixed => NodeId(gen.below(n as u64) as usize),
+                };
+                let accepts = narrow.world.can_accept(src);
+                assert_eq!(accepts, wide.world.can_accept(src), "case {case}");
+                if !accepts {
+                    continue;
+                }
+                // The AP only ever sends to the first n stations.
+                let dst = if src == AP {
+                    NodeId(gen.range_inclusive(1, n as u64 - 1) as usize)
+                } else {
+                    AP
+                };
+                let frame = Frame {
+                    src,
+                    dst,
+                    msdu_bytes: gen.range_inclusive(40, 1500),
+                    rate: DataRate::ALL_B[gen.below(DataRate::ALL_B.len() as u64) as usize],
+                    handle,
+                };
+                handle += 1;
+                for lane in [&mut narrow, &mut wide] {
+                    lane.with(now, |w, fx| {
+                        w.offer_frame(now, frame, fx).expect("MAC accepts");
+                    });
+                }
+            }
+            5 | 6 => {
+                let node = NodeId(gen.below(n as u64) as usize);
+                let until = now + SimDuration::from_micros(gen.below(4000));
+                for lane in [&mut narrow, &mut wide] {
+                    lane.with(now, |w, fx| w.set_defer(now, node, until, fx));
+                }
+            }
+            _ => {
+                let until = now + SimDuration::from_micros(gen.below(3000));
+                for lane in [&mut narrow, &mut wide] {
+                    lane.with(now, |w, fx| w.defer_all(now, until, fx));
+                }
+            }
+        }
+    }
+    let end = now + SimDuration::from_millis(50);
+    let label = format!("case {case} ({traffic:?}, {n} + {extra} stations)");
+    assert_agree(&label, [&mut narrow, &mut wide], n, end);
+    for i in n..n + extra {
+        assert!(wide.world.occupancy(NodeId(i)).is_zero(), "{label}");
+    }
+    narrow.log.len()
 }
 
 #[test]
@@ -246,6 +346,15 @@ fn defer_all_matches_a_set_defer_loop() {
         fewer > 200,
         "the cell-wide timer saved dispatches in only {fewer} cases"
     );
+}
+
+#[test]
+fn appended_stations_without_frames_change_no_effect() {
+    let traffic = [Traffic::Downlink, Traffic::Uplink, Traffic::Mixed];
+    let compared: usize = (0..240)
+        .map(|case| run_dormant_case(case, traffic[case as usize % 3]))
+        .sum();
+    assert!(compared > 20_000, "only {compared} effects compared");
 }
 
 #[test]

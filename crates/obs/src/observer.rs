@@ -36,6 +36,18 @@ pub trait Observer {
         true
     }
 
+    /// Whether this observer reads the fine-grained records: backoff
+    /// draws ([`on_backoff`](Observer::on_backoff)), airtime slices
+    /// ([`on_airtime_slice`](Observer::on_airtime_slice)) and token
+    /// updates ([`on_token_update`](Observer::on_token_update)). When
+    /// it returns `false` the simulator neither builds those records
+    /// nor asks the MAC and scheduler for what they hold. Defaults to
+    /// [`active`](Observer::active); an observer that ignores all three
+    /// hooks returns `false`.
+    fn wants_detail(&self) -> bool {
+        self.active()
+    }
+
     /// A coarse MAC lifecycle marker ([`EventRecord::Mac`]).
     fn on_mac_event(&mut self, _rec: EventRecord) {}
 
@@ -307,6 +319,10 @@ macro_rules! tee_forward {
 impl<A: Observer, B: Observer> Observer for TeeObserver<A, B> {
     fn active(&self) -> bool {
         self.a.active() || self.b.active()
+    }
+
+    fn wants_detail(&self) -> bool {
+        self.a.wants_detail() || self.b.wants_detail()
     }
 
     tee_forward!(

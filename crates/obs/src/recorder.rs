@@ -492,6 +492,10 @@ impl FlightRecorder {
 }
 
 impl Observer for FlightRecorder {
+    fn wants_detail(&self) -> bool {
+        false
+    }
+
     fn on_dispatch(&mut self, t: SimTime, seq: u64, label: &'static str) {
         // Drive-mode bookkeeping, not causality: dense tick mode
         // materializes wake-ups that coalesced mode elides, so tick

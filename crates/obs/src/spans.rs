@@ -327,6 +327,10 @@ impl SpanCollector {
 }
 
 impl Observer for SpanCollector {
+    fn wants_detail(&self) -> bool {
+        false
+    }
+
     fn on_frame_span(&mut self, rec: EventRecord) {
         self.record(&rec);
     }

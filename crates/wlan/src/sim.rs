@@ -14,6 +14,7 @@
 //! ```
 
 use std::collections::{HashMap, VecDeque};
+use std::ops::Range;
 
 use airtime_core::{ApScheduler, ClientId, EnqueueOutcome, QueuedPacket};
 use airtime_mac::{
@@ -153,9 +154,18 @@ struct Sim<'c, O: Observer> {
     /// The earliest coalesced wake-up currently sitting in the event
     /// queue, if any — avoids flooding the queue with duplicate wakes.
     pending_wake: Option<SimTime>,
+    /// Numbered station by station (see [`Sim::flows_of`]).
     flows: Vec<FlowRt>,
+    /// One bit per flow: set when something its pump reads may have
+    /// changed since its last pump. See [`Sim::step`].
+    dirty: Vec<u64>,
+    /// True when every key shares one AP queue (fifo), so a dequeue or
+    /// flush for any key changes what every flow's pump reads.
+    shared_queue: bool,
     /// Per-station uplink interface queues (packet, arrival time).
     client_q: Vec<VecDeque<(Packet, SimTime)>>,
+    /// Packets in all of `client_q` together.
+    client_backlog: usize,
     arf: Vec<Option<Arf>>,
     fixed_rate: Vec<DataRate>,
     /// Frame handle → (packet, time it entered the AP/client queue),
@@ -331,8 +341,8 @@ impl<'c, O: Observer> Sim<'c, O> {
         );
         // Backoff draws happen either way; these only control whether
         // the MAC reports them as effects — neither touches the RNG.
-        mac.set_emit_backoff(obs.active());
-        mac.set_emit_airtime(obs.active());
+        mac.set_emit_backoff(obs.wants_detail());
+        mac.set_emit_airtime(obs.wants_detail());
         let mut sched = cfg.scheduler.build();
         // Build flow runtimes.
         let warmup_end = SimTime::ZERO + cfg.warmup;
@@ -433,6 +443,7 @@ impl<'c, O: Observer> Sim<'c, O> {
                 queue.schedule(rt.start, Event::StartFlow { flow: f });
             }
         }
+        let dirty = vec![0; flows.len().div_ceil(64)];
         Sim {
             cfg,
             obs,
@@ -444,7 +455,10 @@ impl<'c, O: Observer> Sim<'c, O> {
             mac,
             sched,
             flows,
+            dirty,
+            shared_queue: matches!(cfg.scheduler, SchedulerKind::Fifo),
             client_q: vec![VecDeque::new(); n + 1],
+            client_backlog: 0,
             arf,
             fixed_rate,
             in_transit: HashMap::new(),
@@ -464,6 +478,28 @@ impl<'c, O: Observer> Sim<'c, O> {
     /// around it: traffic pumps, MAC feeding, the scheduler's wake-up.
     /// Returns the event's time and profiler label; `None` when the
     /// timeline is drained.
+    ///
+    /// # Settle contract
+    ///
+    /// Settling costs what the dispatch touched, not the cell's size:
+    ///
+    /// - Only *dirty* flows pump, in index order. A flow turns dirty
+    ///   when its `StartFlow`, `Pump`, RTO or delayed-ack event
+    ///   dispatches, when a packet reaches its endpoint, when it is
+    ///   (re)associated, and when the queue its pump reads shrinks: a
+    ///   dequeue or disassociation flush of its scheduler key (of any
+    ///   key under fifo, whose one queue every key reads), or a pop
+    ///   from its station's interface queue. Marks made while feeding
+    ///   the MAC wait for the next settle. An unmarked flow's pump
+    ///   would find what it found last time and do nothing. The one
+    ///   source this changes is a UDP downlink source whose offer into
+    ///   a full queue spends state (a bounded task, a RED pool): it
+    ///   offers again only when touched, so its drops do not depend on
+    ///   how often the loop steps.
+    /// - Client MACs are fed only while some interface queue holds a
+    ///   frame.
+    /// - The MAC's contention passes walk only stations that ever held
+    ///   a frame (see [`DcfWorld`]).
     fn step(&mut self) -> Option<(SimTime, &'static str)> {
         let (t, ev) = self.queue.pop()?;
         self.now = t;
@@ -478,7 +514,7 @@ impl<'c, O: Observer> Sim<'c, O> {
             std::time::Instant::now()
         });
         self.dispatch(ev);
-        self.pump_all();
+        self.pump_dirty();
         self.kick_all();
         self.ensure_sched_wake();
         if let Some(t0) = t0 {
@@ -727,7 +763,7 @@ impl<'c, O: Observer> Sim<'c, O> {
     }
 
     fn emit_tokens(&mut self, key: ClientId, cause: TokenCause) {
-        if self.obs.active() {
+        if self.obs.wants_detail() {
             if let (Some(tokens), Some(rate)) = (
                 self.sched.token_balance_ns(key),
                 self.sched.token_fill_rate(key),
@@ -772,6 +808,7 @@ impl<'c, O: Observer> Sim<'c, O> {
                 generation,
                 epoch,
             } => {
+                self.mark(flow);
                 if epoch != self.flows[flow].epoch {
                     return; // armed by a pre-handoff incarnation
                 }
@@ -796,6 +833,7 @@ impl<'c, O: Observer> Sim<'c, O> {
                 generation,
                 epoch,
             } => {
+                self.mark(flow);
                 if epoch != self.flows[flow].epoch {
                     return;
                 }
@@ -811,7 +849,7 @@ impl<'c, O: Observer> Sim<'c, O> {
                     self.pending_wake = None;
                 }
                 self.sched.on_tick(self.now);
-                if self.obs.active() {
+                if self.obs.wants_detail() {
                     for k in 0..self.key_count() {
                         self.emit_tokens(ClientId(k), TokenCause::Fill);
                     }
@@ -827,10 +865,12 @@ impl<'c, O: Observer> Sim<'c, O> {
             }
             Event::Pump { flow } => {
                 self.flows[flow].pump_pending = false;
-                // pump_all (called after dispatch) does the work.
+                // pump_dirty (called after dispatch) does the work.
+                self.mark(flow);
             }
             Event::StartFlow { flow } => {
                 self.flows[flow].started = true;
+                self.mark(flow);
             }
             Event::WarmupDone => {
                 for node in 0..self.client_q.len() {
@@ -1099,6 +1139,7 @@ impl<'c, O: Observer> Sim<'c, O> {
     /// data, downlink acks) or the client (downlink data, uplink acks).
     fn deliver(&mut self, pkt: Packet) {
         let flow = pkt.flow.index();
+        self.mark(flow);
         match pkt.kind {
             PacketKind::TcpData { seq } => {
                 let now = self.now;
@@ -1182,6 +1223,7 @@ impl<'c, O: Observer> Sim<'c, O> {
                             let node = f.station + 1;
                             if self.client_q[node].len() < self.cfg.client_queue_cap {
                                 self.client_q[node].push_back((ack, self.now));
+                                self.client_backlog += 1;
                                 self.emit_client_queue(node);
                             }
                         }
@@ -1210,16 +1252,56 @@ impl<'c, O: Observer> Sim<'c, O> {
 
     // -- traffic pumping and MAC feeding --------------------------------
 
-    fn pump_all(&mut self) {
-        for flow in 0..self.flows.len() {
-            if !self.flows[flow].started {
-                continue;
+    /// Marks `flow` dirty: its pump runs at the next settle.
+    fn mark(&mut self, flow: usize) {
+        self.dirty[flow / 64] |= 1 << (flow % 64);
+    }
+
+    /// Marks the flows whose pump reads `key`'s AP queue length: every
+    /// flow under a shared queue, else the flows regulated under `key`.
+    fn mark_key(&mut self, key: ClientId) {
+        if self.shared_queue {
+            let n = self.flows.len();
+            for (w, word) in self.dirty.iter_mut().enumerate() {
+                let bits = n - w * 64;
+                *word = if bits >= 64 { !0 } else { (1 << bits) - 1 };
             }
-            match (self.flows[flow].transport, self.flows[flow].direction) {
-                (Transport::Tcp, Direction::Uplink) => self.pump_tcp_uplink(flow),
-                (Transport::Tcp, Direction::Downlink) => self.pump_tcp_downlink(flow),
-                (Transport::Udp, Direction::Uplink) => self.pump_udp_uplink(flow),
-                (Transport::Udp, Direction::Downlink) => self.pump_udp_downlink(flow),
+            return;
+        }
+        match self.cfg.regulate {
+            Regulate::PerStation => self.mark_station(key.index()),
+            Regulate::PerFlow => self.mark(key.index()),
+        }
+    }
+
+    fn mark_station(&mut self, station: usize) {
+        for flow in self.flows_of(station) {
+            self.mark(flow);
+        }
+    }
+
+    /// The flows of `station`: a run of consecutive indices, because
+    /// flows are numbered station by station.
+    fn flows_of(&self, station: usize) -> Range<usize> {
+        let from = self.flows.partition_point(|f| f.station < station);
+        from..self.flows.partition_point(|f| f.station <= station)
+    }
+
+    /// Pumps every dirty flow in index order and clears its mark.
+    fn pump_dirty(&mut self) {
+        for w in 0..self.dirty.len() {
+            while self.dirty[w] != 0 {
+                let flow = w * 64 + self.dirty[w].trailing_zeros() as usize;
+                self.dirty[w] &= self.dirty[w] - 1;
+                if !self.flows[flow].started {
+                    continue;
+                }
+                match (self.flows[flow].transport, self.flows[flow].direction) {
+                    (Transport::Tcp, Direction::Uplink) => self.pump_tcp_uplink(flow),
+                    (Transport::Tcp, Direction::Downlink) => self.pump_tcp_downlink(flow),
+                    (Transport::Udp, Direction::Uplink) => self.pump_udp_uplink(flow),
+                    (Transport::Udp, Direction::Downlink) => self.pump_udp_downlink(flow),
+                }
             }
         }
     }
@@ -1244,6 +1326,7 @@ impl<'c, O: Observer> Sim<'c, O> {
             match pkt {
                 Some(p) => {
                     self.client_q[node].push_back((p, now));
+                    self.client_backlog += 1;
                     pushed = true;
                 }
                 None => break,
@@ -1302,6 +1385,7 @@ impl<'c, O: Observer> Sim<'c, O> {
             match pkt {
                 Some(p) => {
                     self.client_q[node].push_back((p, now));
+                    self.client_backlog += 1;
                     pushed = true;
                 }
                 None => break,
@@ -1328,7 +1412,11 @@ impl<'c, O: Observer> Sim<'c, O> {
     /// so a full drop-tail queue costs no datagram, offer or drop. Paced
     /// and bounded sources, and RED pools, still offer into a full
     /// queue: their drop spends limiter tokens or task bytes, or resets
-    /// RED's drop history, so skipping it would change the run.
+    /// RED's drop history, so skipping it would change the run. They
+    /// offer again when the flow is next marked dirty (its queue
+    /// drained, a pacing `Pump` fired), not on every loop step. Only an
+    /// early-drop policy drops into an empty queue, which no dequeue
+    /// would ever drain; the source then offers until one is buffered.
     fn pump_udp_downlink(&mut self, flow: usize) {
         let key = self.reg_key(flow);
         let now = self.now;
@@ -1354,10 +1442,17 @@ impl<'c, O: Observer> Sim<'c, O> {
                         bytes: p.bytes,
                     };
                     if self.sched.enqueue(q, now) == EnqueueOutcome::Dropped {
-                        // Queue full (its cap may be below our priming
-                        // level): stop generating until it drains.
                         self.in_transit.remove(&handle);
-                        break;
+                        // Queue full (its cap may be below our priming
+                        // level): stop generating until a dequeue of
+                        // this key wakes the flow. An early drop (RED)
+                        // into an empty queue has no dequeue to wait
+                        // for; each further offer pulls RED's average
+                        // toward the empty queue, so keep offering.
+                        if self.sched.queue_len(key) > 0 {
+                            break;
+                        }
+                        continue;
                     }
                     pushed = true;
                 }
@@ -1380,6 +1475,7 @@ impl<'c, O: Observer> Sim<'c, O> {
         // AP: MACTXEVENT — feed one frame whenever the AP MAC is idle.
         if self.mac.can_accept(AP) {
             if let Some(q) = self.sched.dequeue(self.now) {
+                self.mark_key(q.client);
                 if self.obs.active() {
                     self.obs.on_sched_decision(EventRecord::SchedDecision {
                         t: self.now,
@@ -1419,9 +1515,14 @@ impl<'c, O: Observer> Sim<'c, O> {
             }
         }
         // Clients: head of interface queue.
+        if self.client_backlog == 0 {
+            return;
+        }
         for node in 1..self.client_q.len() {
             if self.mac.can_accept(NodeId(node)) {
                 if let Some((pkt, born)) = self.client_q[node].pop_front() {
+                    self.client_backlog -= 1;
+                    self.mark_station(node - 1);
                     self.emit_client_queue(node);
                     let handle = self.new_handle(pkt, born);
                     if self.obs.active() {
@@ -1478,18 +1579,12 @@ impl<'c, O: Observer> Sim<'c, O> {
 
     // -- association lifecycle (multi-cell topology support) -------------
 
-    /// Scheduler keys owned by `station` under the configured
-    /// regulation granularity.
-    fn keys_of_station(&self, station: usize) -> Vec<ClientId> {
+    /// Indices of the scheduler keys owned by `station` under the
+    /// configured regulation granularity.
+    fn keys_of_station(&self, station: usize) -> Range<usize> {
         match self.cfg.regulate {
-            Regulate::PerStation => vec![ClientId(station)],
-            Regulate::PerFlow => self
-                .flows
-                .iter()
-                .enumerate()
-                .filter(|(_, f)| f.station == station)
-                .map(|(i, _)| ClientId(i))
-                .collect(),
+            Regulate::PerStation => station..station + 1,
+            Regulate::PerFlow => self.flows_of(station),
         }
     }
 
@@ -1507,6 +1602,7 @@ impl<'c, O: Observer> Sim<'c, O> {
         f.udp = udp;
         f.metered_bytes = 0;
         f.completion = None;
+        self.mark(flow);
     }
 
     /// Registers `station` with the AP scheduler and starts fresh
@@ -1515,23 +1611,17 @@ impl<'c, O: Observer> Sim<'c, O> {
     fn associate_station(&mut self, station: usize, now: SimTime) {
         self.now = now;
         let weight = self.cfg.stations[station].weight;
-        for key in self.keys_of_station(station) {
+        for key in self.keys_of_station(station).map(ClientId) {
             self.sched.on_associate_weighted(key, weight, now);
         }
         let cfg = self.cfg;
-        let mut flow = 0;
-        for (s, st) in cfg.stations.iter().enumerate() {
-            for spec in &st.flows {
-                if s == station {
-                    self.rebuild_flow(flow, spec, now);
-                }
-                flow += 1;
-            }
+        for (flow, spec) in self.flows_of(station).zip(&cfg.stations[station].flows) {
+            self.rebuild_flow(flow, spec, now);
         }
         // The association happens between events on the shared
         // timeline, so prime traffic and the MAC here rather than
         // waiting for this cell's next dispatch.
-        self.pump_all();
+        self.pump_dirty();
         self.kick_all();
         self.ensure_sched_wake();
     }
@@ -1544,26 +1634,27 @@ impl<'c, O: Observer> Sim<'c, O> {
     /// not recall it; the scheduler ignores the late completion debit.
     fn disassociate_station(&mut self, station: usize, now: SimTime) {
         self.now = now;
-        for key in self.keys_of_station(station) {
+        for key in self.keys_of_station(station).map(ClientId) {
             for q in self.sched.on_disassociate(key, now) {
                 self.in_transit.remove(&q.handle);
             }
+            self.mark_key(key);
             self.emit_ap_queue(key);
         }
         let node = station + 1;
         if !self.client_q[node].is_empty() {
+            self.client_backlog -= self.client_q[node].len();
             self.client_q[node].clear();
             self.emit_client_queue(node);
         }
-        for f in self.flows.iter_mut() {
-            if f.station == station {
-                f.epoch += 1;
-                f.started = false;
-                f.tcp_tx = None;
-                f.tcp_rx = None;
-                f.udp = None;
-                f.pump_pending = false;
-            }
+        for flow in self.flows_of(station) {
+            let f = &mut self.flows[flow];
+            f.epoch += 1;
+            f.started = false;
+            f.tcp_tx = None;
+            f.tcp_rx = None;
+            f.udp = None;
+            f.pump_pending = false;
         }
     }
 
@@ -1855,10 +1946,8 @@ impl<'c, O: Observer> CellSim<'c, O> {
     /// handoff boundaries for pre/post-handoff roaming throughput.
     pub fn station_goodput_bytes(&self, station: usize) -> u64 {
         self.sim
-            .flows
-            .iter()
-            .filter(|f| f.station == station)
-            .map(|f| f.meter.bytes())
+            .flows_of(station)
+            .map(|f| self.sim.flows[f].meter.bytes())
             .sum()
     }
 }

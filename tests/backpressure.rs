@@ -14,11 +14,16 @@
 //! - the sources whose drops change state — a paced source (the offer
 //!   spends limiter tokens), a bounded task (it spends task bytes) and
 //!   a RED pool (the drop resets RED's history) — still offer into a
-//!   full queue, and report exactly what they reported then, drops
-//!   included.
+//!   full queue, but only when their flow is touched (its queue
+//!   drained, a pacing timer fired), never once per loop step;
+//! - so each of those source kinds reports the same under both queue
+//!   backends and both tick modes, over every family it runs under;
+//! - a RED drop into an empty queue, which no dequeue will follow,
+//!   does not leave its source waiting forever.
 
 use airtime::core::{BufferPolicy, RedConfig};
-use airtime::sched::TbrConfig;
+use airtime::sched::{MaxMinConfig, PfConfig, TbrConfig, TxopConfig};
+use airtime::sim::QueueBackend;
 use airtime::wlan::{run, NetworkConfig, Report, SchedulerKind};
 
 const SCENARIO: &str = "\
@@ -57,12 +62,17 @@ scheduler = [\"fifo\", \"rr\", \"drr\", \"tbr\", \"txop\", \"pf\", \"maxmin\"]
 /// step still offered one doomed datagram per full queue.
 const FAMILY_DIGEST: u64 = 0xab3b_a767_f15b_0905;
 
-/// `(row, sched_drops, report digest)` of the rows that must keep
-/// offering into a full queue, taken with the same engine.
+/// `(row, sched_drops, report digest)` of the rows that keep offering
+/// into a full queue. The paced row was taken with the engine that
+/// pumped every flow after every dispatch; a paced source offers only
+/// when its pacing timer fires, so it reads the same now. The bounded
+/// and RED rows were taken once a full queue's source offered only
+/// when touched (they read 31,312 and 46,288 drops while every loop
+/// step offered).
 const KEPT: [(&str, u64, u64); 3] = [
     ("paced", 7_496, 0xadb4_7408_8046_d579),
-    ("bounded", 31_312, 0x05f5_9784_eab8_db92),
-    ("red", 46_288, 0x985a_277e_9d2d_6e9b),
+    ("bounded", 975, 0x4057_d93e_33ec_c313),
+    ("red", 1_435, 0x0cbe_1275_609a_ab14),
 ];
 
 /// The sweep's seven cells, one per family, as `(family, config)`.
@@ -84,23 +94,48 @@ fn kept_cells() -> Vec<(&'static str, NetworkConfig)> {
         let (_, cfg) = cells.iter().find(|(f, _)| f == family).unwrap();
         cfg.clone()
     };
-    let with_flows = |mut cfg: NetworkConfig, edit: &dyn Fn(&mut airtime::wlan::FlowSpec)| {
-        cfg.stations
-            .iter_mut()
-            .flat_map(|s| s.flows.iter_mut())
-            .for_each(edit);
-        cfg
+    vec![
+        ("paced", paced(cell("rr"))),
+        ("bounded", bounded(cell("rr"))),
+        ("red", over_red(cell("tbr")).unwrap()),
+    ]
+}
+
+/// 32 × 1 Mbit/s outruns the cell, so every queue fills and stays
+/// full.
+fn paced(cfg: NetworkConfig) -> NetworkConfig {
+    with_flows(cfg, &|f| f.rate_limit_bps = Some(1e6))
+}
+
+/// 32 × 50 MB outruns the 3 s cell just as well.
+fn bounded(cfg: NetworkConfig) -> NetworkConfig {
+    with_flows(cfg, &|f| f.task_bytes = Some(50_000_000))
+}
+
+/// Applies `edit` to every flow of `cfg`.
+fn with_flows(
+    mut cfg: NetworkConfig,
+    edit: &dyn Fn(&mut airtime::wlan::FlowSpec),
+) -> NetworkConfig {
+    cfg.stations
+        .iter_mut()
+        .flat_map(|s| s.flows.iter_mut())
+        .for_each(edit);
+    cfg
+}
+
+/// `cfg` over a RED pool, or `None` for a family whose pool takes no
+/// buffer policy (fifo, rr, drr are drop-tail only).
+fn over_red(mut cfg: NetworkConfig) -> Option<NetworkConfig> {
+    let buffer = BufferPolicy::Red(RedConfig::default());
+    cfg.scheduler = match cfg.scheduler {
+        SchedulerKind::Tbr(c) => SchedulerKind::Tbr(TbrConfig { buffer, ..c }),
+        SchedulerKind::Txop(c) => SchedulerKind::Txop(TxopConfig { buffer, ..c }),
+        SchedulerKind::Pf(c) => SchedulerKind::Pf(PfConfig { buffer, ..c }),
+        SchedulerKind::MaxMin(c) => SchedulerKind::MaxMin(MaxMinConfig { buffer, ..c }),
+        SchedulerKind::Fifo | SchedulerKind::RoundRobin | SchedulerKind::Drr => return None,
     };
-    // 32 × 1 Mbit/s and 32 × 50 MB both outrun the cell, so every queue
-    // fills and stays full.
-    let paced = with_flows(cell("rr"), &|f| f.rate_limit_bps = Some(1e6));
-    let bounded = with_flows(cell("rr"), &|f| f.task_bytes = Some(50_000_000));
-    let mut red = cell("tbr");
-    red.scheduler = SchedulerKind::Tbr(TbrConfig {
-        buffer: BufferPolicy::Red(RedConfig::default()),
-        ..TbrConfig::default()
-    });
-    vec![("paced", paced), ("bounded", bounded), ("red", red)]
+    Some(cfg)
 }
 
 fn fnv1a(acc: u64, bytes: &[u8]) -> u64 {
@@ -147,4 +182,69 @@ fn paced_bounded_and_red_sources_still_offer_into_a_full_queue() {
             digest(&report)
         );
     }
+}
+
+#[test]
+fn every_source_kind_reports_the_same_under_every_backend_and_tick_mode() {
+    let mut cells = Vec::new();
+    for (family, cfg) in family_cells() {
+        cells.push((format!("paced {family}"), paced(cfg.clone())));
+        cells.push((format!("bounded {family}"), bounded(cfg.clone())));
+        if let Some(red) = over_red(cfg) {
+            cells.push((format!("red {family}"), red));
+        }
+    }
+    assert_eq!(cells.len(), 18);
+    for (label, cfg) in cells {
+        let mut reference = None;
+        for backend in [QueueBackend::Heap, QueueBackend::Wheel] {
+            for coalesce in [false, true] {
+                let mut combo = cfg.clone();
+                combo.queue_backend = backend;
+                combo.coalesce_ticks = coalesce;
+                let report = format!("{:?}", run(&combo));
+                let reference = reference.get_or_insert_with(|| report.clone());
+                assert!(
+                    *reference == report,
+                    "{label}: report diverged under {backend:?}, coalesce {coalesce}"
+                );
+            }
+        }
+    }
+}
+
+/// A RED pool drops early, so unlike drop-tail it can drop an offer
+/// into an empty queue, where no dequeue will come to wake the source.
+/// With a slow average (the classic weight 0.002) the average lags a
+/// draining queue by hundreds of arrivals; a source that waited to be
+/// woken after such a drop would never offer again.
+#[test]
+fn an_early_drop_into_an_empty_queue_does_not_strand_its_source() {
+    use airtime::phy::DataRate;
+    use airtime::sim::SimDuration;
+    use airtime::wlan::{Direction, FlowSpec, LinkSpec, StationConfig};
+    let station = |rate| StationConfig {
+        link: LinkSpec::Fixed { rate, fer: 0.01 },
+        flows: vec![FlowSpec::udp(Direction::Downlink)],
+        weight: 1.0,
+    };
+    let mut cfg = NetworkConfig::new(
+        vec![station(DataRate::B11), station(DataRate::B1)],
+        SchedulerKind::Tbr(TbrConfig {
+            buffer: BufferPolicy::Red(RedConfig {
+                weight: 0.002,
+                ..RedConfig::default()
+            }),
+            ..TbrConfig::default()
+        }),
+    );
+    cfg.duration = SimDuration::from_secs(6);
+    cfg.warmup = SimDuration::from_secs(1);
+    let report = run(&cfg);
+    let mbps: Vec<f64> = report.flows.iter().map(|f| f.goodput_mbps).collect();
+    // TBR splits the air evenly: about 3 and 0.46 Mbit/s.
+    assert!(
+        mbps[0] > 2.5 && mbps[1] > 0.4,
+        "a source stalled behind an early drop: {mbps:?} Mbit/s"
+    );
 }
